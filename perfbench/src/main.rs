@@ -32,14 +32,12 @@ use sf_telemetry::Snapshot;
 use probe::{Ledger, LedgerTotals, Probe, Record, Role};
 use setup::Setup;
 use stats::{percentile, ratio, PoreTime, Quality};
-use workload::{Catalog, Spec};
+use workload::{Catalog, Drive, Spec};
 
 const USAGE: &str = "usage: sf-perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>";
 
 /// A paced run is invalid when the generator sends this late (p95).
 const MAX_GENERATOR_LAG_MS: f64 = 10.0;
-/// A paced run's timing metrics are medians over this many parts of it.
-const PACED_PASSES: usize = 3;
 /// The ledger must account for the kernel sessions' time within this share.
 const LEDGER_TOLERANCE_PCT: f64 = 5.0;
 
@@ -155,13 +153,16 @@ struct Evaluation {
     /// Reads never resolved, or (paced) rejected after their last chunk
     /// was sent.
     failed: usize,
+    /// Reads never resolved. Each one also fails the output check.
+    unresolved: usize,
     /// Rejects that landed after the read's last chunk was sent.
     missed_windows: usize,
     /// Outcomes that differ from the oracle, duplicates and unattributable
     /// sessions.
     mismatches: usize,
-    /// One group per replay pass: a paced run is one pass, a capacity run
-    /// several. Timing metrics are medians over the passes.
+    /// One group per replay pass: a paced run is one pass over all its
+    /// decisions, a capacity run several. Timing metrics are medians over
+    /// the passes.
     passes: Vec<Pass>,
     pore: Vec<PoreTime>,
     quality: Quality,
@@ -186,6 +187,7 @@ impl Evaluation {
         Evaluation {
             attempted: 0,
             failed: 0,
+            unresolved: 0,
             missed_windows: 0,
             mismatches: 0,
             passes: Vec::new(),
@@ -200,13 +202,19 @@ impl Evaluation {
         self.passes.iter().map(|p| p.latencies_ms.len()).sum()
     }
 
-    /// Books one resolved read: `sequenced_s` is the pore time it got if
-    /// rejected (the full read is sequenced when kept).
+    /// Books one read that never resolved.
+    fn unresolved(&mut self) {
+        self.unresolved += 1;
+        self.failed += 1;
+    }
+
+    /// Books one resolved read into the current pass: `rejected_pore_s` is
+    /// the pore time it got if rejected (the full read is sequenced when
+    /// kept).
     fn resolve(
         &mut self,
         setup: &Setup,
         read: usize,
-        pass: usize,
         outcome: &StreamClassification,
         latency_ms: f64,
         rejected_pore_s: f64,
@@ -218,7 +226,7 @@ impl Evaluation {
         let trace_read = &setup.trace.reads[read];
         let kept = outcome.verdict.is_accept();
         let full_s = trace_read.read_samples as f64 / setup.trace.sample_rate_hz;
-        if let Some(pass) = self.passes.get_mut(pass) {
+        if let Some(pass) = self.passes.last_mut() {
             pass.latencies_ms.push(latency_ms);
         }
         self.pore.push(PoreTime {
@@ -240,25 +248,15 @@ impl Evaluation {
 fn evaluate_paced(setup: &Setup, run: &paced::PacedRun) -> Evaluation {
     let mut eval = Evaluation::new();
     let mut labels = Vec::new();
-    // Thirds of the run by capture time, so a transient slowdown of the
-    // machine moves one third's percentiles and not the reported medians.
-    for _ in 0..PACED_PASSES {
-        eval.passes.push(Pass {
-            wall_s: run.wall_s / PACED_PASSES as f64,
-            ..Pass::default()
-        });
-    }
-    let span_s = setup
-        .trace
-        .reads
-        .iter()
-        .map(|r| r.start_s)
-        .fold(0.0, f64::max)
-        .max(f64::MIN_POSITIVE);
+    // One pass: the percentiles are taken over every decision of the run.
+    eval.passes.push(Pass {
+        wall_s: run.wall_s,
+        ..Pass::default()
+    });
     for (read, received) in run.received.iter().enumerate() {
         eval.attempted += 1;
         let Some(r) = received else {
-            eval.failed += 1;
+            eval.unresolved();
             continue;
         };
         if !r.outcome.verdict.is_accept() && r.after_last_chunk {
@@ -267,15 +265,12 @@ fn evaluate_paced(setup: &Setup, run: &paced::PacedRun) -> Evaluation {
         }
         let due_s = stats::completing_chunk(&setup.chunk_ends[read], r.outcome.samples_consumed)
             .map_or(0.0, |k| setup.chunk_due[read][k]);
-        let start_s = setup.trace.reads[read].start_s;
-        let pass = ((start_s / span_s * PACED_PASSES as f64) as usize).min(PACED_PASSES - 1);
         eval.resolve(
             setup,
             read,
-            pass,
             &r.outcome,
             stats::decision_latency_ms(due_s, r.at_s),
-            r.at_s - start_s,
+            r.at_s - setup.trace.reads[read].start_s,
             &mut labels,
         );
     }
@@ -300,7 +295,7 @@ fn evaluate_capacity(setup: &Setup, run: &capacity::CapacityRun) -> Evaluation {
         for (read, records) in replay.per_read.iter().enumerate() {
             eval.attempted += 1;
             let Some(record) = records.first() else {
-                eval.failed += 1;
+                eval.unresolved();
                 continue;
             };
             eval.mismatches += records.len() - 1;
@@ -313,11 +308,9 @@ fn evaluate_capacity(setup: &Setup, run: &capacity::CapacityRun) -> Evaluation {
                 .as_secs_f64()
                 * 1e3;
             let prefix_s = record.outcome.samples_consumed as f64 / setup.trace.sample_rate_hz;
-            let pass = eval.passes.len() - 1;
             eval.resolve(
                 setup,
                 read,
-                pass,
                 &record.outcome,
                 residence_ms,
                 prefix_s,
@@ -388,10 +381,11 @@ fn replay<C: ReadClassifier + Sync>(
     setup: &Setup,
     seconds: f64,
 ) -> Replay {
-    if spec.paced {
-        Replay::Paced(paced::run(classifier, &setup.trace))
-    } else {
-        Replay::Capacity(capacity::run(classifier, records, &setup.trace, seconds))
+    match spec.drive {
+        Drive::Paced => Replay::Paced(paced::run(classifier, &setup.trace)),
+        Drive::Saturate { .. } => {
+            Replay::Capacity(capacity::run(classifier, records, &setup.trace, seconds))
+        }
     }
 }
 
@@ -405,12 +399,12 @@ fn run(args: &Args) -> Result<RunResult, String> {
         args.seconds
     };
     // Paced replays keep the captures of all but the delivery tail, so a
-    // replay lasts about `seconds`; capacity passes over half that many
-    // captures repeat while they fit.
-    let window_s = if spec.paced {
-        (seconds - setup::DELIVERY_TAIL_S).max(1.0)
-    } else {
-        (seconds / 2.0).max(1.0)
+    // replay lasts about `seconds`. Capacity passes replay a fixed window
+    // while they fit, so the oracle, which covers one pass, keeps the
+    // set-up small enough to build three times.
+    let window_s = match spec.drive {
+        Drive::Paced => (seconds - setup::DELIVERY_TAIL_S).max(1.0),
+        Drive::Saturate { window_s } => window_s,
     };
     let setup = setup::build(spec, args.seed, window_s)?;
     eprintln!(
@@ -439,7 +433,7 @@ fn run(args: &Args) -> Result<RunResult, String> {
 
     // Traced replay first, so the process-wide scheduler histograms hold
     // only its arrivals; then an untimed replay of the same inputs.
-    let ledger = if spec.paced {
+    let ledger = if spec.paced() {
         Ledger::default()
     } else {
         Ledger::sampling_thread()
@@ -508,6 +502,9 @@ fn check(eval: &Evaluation) -> Vec<String> {
             "{} outcomes differ from the sequential oracle or resolved more than once",
             eval.mismatches
         ));
+    }
+    if eval.unresolved > 0 {
+        problems.push(format!("{} reads were never resolved", eval.unresolved));
     }
     if eval.decided() == 0 {
         problems.push("no read was decided".to_string());
@@ -731,6 +728,123 @@ mod tests {
             "{\"correct\": true, \"attempted\": 3, \"failed\": 0, \"metrics\": \
              {\"a\": {\"value\": 1.5, \"unit\": \"ms\"}, \"b\": {\"value\": 0, \"unit\": \"s\"}}}"
         );
+    }
+
+    /// A set-up of `reads` two-chunk reads, captured one second apart, each
+    /// with the same oracle outcome.
+    fn tiny_setup(reads: usize) -> Setup {
+        use sf_genome::random::random_genome;
+        use sf_pore_model::KmerModel;
+        use sf_sdtw::{FilterConfig, FilterVerdict, SquiggleFilter};
+        use sf_sim::{ArrivalTrace, TraceChunk, TraceRead};
+        use sf_squiggle::RawSquiggle;
+
+        let filter = SquiggleFilter::from_genome(
+            &KmerModel::synthetic_r94(0),
+            &random_genome(3, 600),
+            FilterConfig::hardware(1e4),
+        );
+        let trace_reads: Vec<TraceRead> = (0..reads)
+            .map(|i| TraceRead {
+                channel: i,
+                start_s: i as f64,
+                is_target: false,
+                squiggle: RawSquiggle::new(vec![500; 800], 4_000.0),
+                read_samples: 800,
+                read_bases: 88,
+            })
+            .collect();
+        let chunks = (0..reads)
+            .flat_map(|read| {
+                [(0, 400), (400, 800)].map(|(start, end)| TraceChunk {
+                    time_s: read as f64 + end as f64 / 4_000.0,
+                    read,
+                    start,
+                    end,
+                    last: end == 800,
+                })
+            })
+            .collect();
+        let outcome = StreamClassification {
+            verdict: FilterVerdict::Reject,
+            score: 1.0,
+            result: None,
+            samples_consumed: 800,
+            decided_early: false,
+            target: None,
+        };
+        Setup {
+            calibrated: setup::Calibrated {
+                catalog: Catalog::Single(filter),
+                thresholds: vec![1e4],
+                separation: 1.0,
+            },
+            trace: ArrivalTrace {
+                reads: trace_reads,
+                chunks,
+                sample_rate_hz: 4_000.0,
+            },
+            chunk_ends: vec![vec![400, 800]; reads],
+            chunk_due: (0..reads)
+                .map(|r| vec![r as f64 + 0.1, r as f64 + 0.2])
+                .collect(),
+            oracle: vec![outcome; reads],
+            setup_s: 1.0,
+        }
+    }
+
+    /// A paced run that received the oracle outcome 100 ms after the
+    /// deciding chunk was due for the reads in `resolved`, and nothing for
+    /// the others.
+    fn paced_run(setup: &Setup, resolved: &[usize]) -> paced::PacedRun {
+        let received = (0..setup.oracle.len())
+            .map(|read| {
+                resolved.contains(&read).then(|| paced::Received {
+                    outcome: setup.oracle[read],
+                    at_s: read as f64 + 0.3,
+                    after_last_chunk: false,
+                })
+            })
+            .collect();
+        paced::PacedRun {
+            received,
+            duplicates: 0,
+            lag_ms: vec![0.0],
+            chunks_sent: 2 * resolved.len() as u64,
+            chunks_skipped: 0,
+            stalls: 0,
+            blocked_s: 0.0,
+            scheduler: sf_sched::SchedulerReport::default(),
+            thread: ThreadSpan::default(),
+            wall_s: setup.oracle.len() as f64,
+        }
+    }
+
+    #[test]
+    fn paced_latency_runs_from_the_deciding_chunks_due_time() {
+        let setup = tiny_setup(3);
+        let eval = evaluate_paced(&setup, &paced_run(&setup, &[0, 1, 2]));
+        assert_eq!((eval.attempted, eval.failed, eval.unresolved), (3, 0, 0));
+        assert_eq!(eval.passes.len(), 1);
+        // The decision took all 800 samples, so the second chunk (due
+        // 0.2 s after capture) completed it; the outcome came at 0.3 s.
+        for latency in &eval.passes[0].latencies_ms {
+            assert!((latency - 100.0).abs() < 1e-6);
+        }
+        assert!(check(&eval).is_empty());
+    }
+
+    #[test]
+    fn an_unresolved_read_fails_the_run() {
+        let setup = tiny_setup(3);
+        let eval = evaluate_paced(&setup, &paced_run(&setup, &[0, 2]));
+        assert_eq!((eval.attempted, eval.failed, eval.unresolved), (3, 1, 1));
+        assert_eq!(eval.mismatches, 0);
+        let problems = check(&eval);
+        assert!(problems.iter().any(|p| p.contains("never resolved")));
+        let result = finish(&eval, Vec::new(), problems);
+        assert!(!result.correct);
+        assert_eq!(result.failed, 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use sf_sim::{
 };
 use sf_squiggle::{NormalizerConfig, RawSquiggle};
 
+use crate::stats::percentile;
 use crate::workload::{Catalog, Spec};
 
 /// Raw samples per Read Until chunk (≈ 0.1 s at 4 kHz).
@@ -33,19 +34,28 @@ const PANEL_SEED: u64 = 4_103;
 /// Seed of the held-out calibration reads: distinct from any run's trace,
 /// and fixed, so every run times the same calibrated classifier.
 const CALIBRATION_SEED: u64 = 0xCA1_1B8A7E;
-const TARGET_LENGTH: usize = 4_000;
+/// 2 kb, not 4 kb: a 4 kb decision costs twice the DP, so at the same
+/// paced load a run held half the decisions (≈ 380 per 30 s) and its p95
+/// latency spread 21–29 % across seeds.
+const TARGET_LENGTH: usize = 2_000;
 const PANEL_GENOME_LENGTH: usize = 2_000;
 const BACKGROUND_LENGTH: usize = 100_000;
 /// Calibration reads per label (single) and per label and virus (panel).
 const SINGLE_CALIBRATION_READS: usize = 40;
-const PANEL_CALIBRATION_TARGETS: usize = 10;
-const PANEL_CALIBRATION_BACKGROUND: usize = 60;
+const PANEL_CALIBRATION_TARGETS: usize = 8;
+const PANEL_CALIBRATION_BACKGROUND: usize = 40;
 /// Per-shard false-positive cap for the panel thresholds: each shard may
 /// accept this share of background, so the union stays discriminating.
 const SHARD_FPR_CAP: f64 = 0.02;
 /// Seconds after the last capture for which a captured read can still
 /// deliver chunks (its synthesized prefix is at most ≈ 2 s of signal).
 pub const DELIVERY_TAIL_S: f64 = 2.0;
+/// Share of captured reads that are target reads. Half: a run holds a few
+/// hundred decisions, and at a 10 % share tpr and enrichment swung by
+/// 8–29 % from seed to seed.
+const TARGET_FRACTION: f64 = 0.5;
+/// Times the whole set-up is built per run; `setup_s` is their median.
+const SETUP_REPEATS: usize = 3;
 
 /// The calibrated classifier a workload times, with its calibration record.
 pub struct Calibrated {
@@ -69,14 +79,29 @@ pub struct Setup {
     pub chunk_due: Vec<Vec<f64>>,
     /// Per read, the sequential `push_chunk`/`finalize` outcome.
     pub oracle: Vec<StreamClassification>,
-    /// Wall-clock seconds the set-up took.
+    /// Wall-clock seconds one set-up took (median of [`SETUP_REPEATS`]).
     pub setup_s: f64,
 }
 
 /// Builds the set-up of `spec` for `seed`, replaying `window_s` seconds of
-/// captures.
+/// captures. The whole set-up runs [`SETUP_REPEATS`] times and `setup_s`
+/// is the median, so one slow moment of the machine does not set it.
 pub fn build(spec: &Spec, seed: u64, window_s: f64) -> Result<Setup, String> {
-    let started = Instant::now();
+    let mut times = Vec::with_capacity(SETUP_REPEATS);
+    let mut setup = None;
+    for _ in 0..SETUP_REPEATS {
+        // Only one set-up is alive at a time.
+        drop(setup.take());
+        let started = Instant::now();
+        setup = Some(build_once(spec, seed, window_s)?);
+        times.push(started.elapsed().as_secs_f64());
+    }
+    let mut setup = setup.ok_or("no set-up was built")?;
+    setup.setup_s = percentile(&times, 0.5);
+    Ok(setup)
+}
+
+fn build_once(spec: &Spec, seed: u64, window_s: f64) -> Result<Setup, String> {
     let model = KmerModel::synthetic_r94(MODEL_SEED);
     let background = human_like_background(BACKGROUND_SEED, BACKGROUND_LENGTH);
     let targets = target_genomes(spec);
@@ -90,7 +115,7 @@ pub fn build(spec: &Spec, seed: u64, window_s: f64) -> Result<Setup, String> {
         chunk_ends,
         chunk_due,
         oracle,
-        setup_s: started.elapsed().as_secs_f64(),
+        setup_s: 0.0,
     })
 }
 
@@ -342,7 +367,7 @@ fn synthesize(
                 scope.spawn(move || {
                     let mut config = FlowCellConfig {
                         channels,
-                        target_fraction: spec.target_fraction,
+                        target_fraction: TARGET_FRACTION,
                         ..FlowCellConfig::default()
                     };
                     let warmup = warmup_s(&config);

@@ -3,60 +3,77 @@
 use sf_sdtw::{ReadClassifier, SquiggleFilter};
 use sf_shard::ShardedClassifier;
 
+/// How a workload's trace reaches the scheduler.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Drive {
+    /// Open loop at wall-clock pace into `SessionScheduler::run`, over the
+    /// captures of the whole measurement.
+    Paced,
+    /// Unpaced through `run_service`, in passes over the captures of
+    /// `window_s` seconds, repeated while they fit in the measurement.
+    Saturate {
+        /// Seconds of captures one pass replays.
+        window_s: f64,
+    },
+}
+
 /// One benchmark workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spec {
     /// Name on the command line.
     pub name: &'static str,
-    /// Replayed at wall-clock pace (open loop) instead of through the
-    /// unpaced service loop.
-    pub paced: bool,
-    /// A 9-target pan-viral panel instead of one 4 kb target.
+    /// How the trace is replayed.
+    pub drive: Drive,
+    /// A 9-target pan-viral panel instead of one 2 kb target.
     pub panel: bool,
     /// Flow-cell channels; fixes the offered load.
     pub channels: usize,
-    /// Share of captured reads that are target reads. Half: a run holds a
-    /// few hundred decisions, and at a 10 % share tpr and enrichment swung
-    /// by 8–29 % from seed to seed.
-    pub target_fraction: f64,
     /// Lowest calibration tpr − fpr a classifier may have and still be
     /// timed.
     pub separation_floor: f64,
 }
 
+impl Spec {
+    /// Whether the trace is replayed at wall-clock pace.
+    pub fn paced(&self) -> bool {
+        self.drive == Drive::Paced
+    }
+}
+
 /// The workloads, in `BENCHMARK.json` order. Why each exists is recorded
 /// in this directory's README.
 pub const WORKLOADS: [Spec; 3] = [
-    // ≈ 15 % of the single filter's sequential capacity (≈ 0.054 reads/s
-    // per channel against ≈ 90 reads/s). At 60 % and 30 %, queueing
-    // amplified the machine's speed drift into 20–36 % latency swings;
-    // here the flush interval, not the queue, sets the latency.
+    // ≈ 20 % of the single filter's capacity (≈ 0.054 reads/s per channel,
+    // ≈ 27 reads/s offered, against ≈ 140 reads/s saturated). At 30 % and
+    // 60 %, queueing amplified the machine's speed drift into 20–36 %
+    // latency swings; here the flush interval, not the queue, sets the
+    // latency, and a 20 s run still holds ≈ 480 decisions.
     Spec {
         name: "paced-single",
-        paced: true,
+        drive: Drive::Paced,
         panel: false,
-        channels: 256,
-        target_fraction: 0.5,
+        channels: 512,
         separation_floor: 0.5,
     },
     // The paced-single classifier and read mix on a 1024-channel flow cell,
-    // replayed unpaced.
+    // replayed unpaced; a pass holds ≈ 330 reads.
     Spec {
         name: "saturate-single",
-        paced: false,
+        drive: Drive::Saturate { window_s: 6.0 },
         panel: false,
         channels: 1_024,
-        target_fraction: 0.5,
         separation_floor: 0.5,
     },
     // The 9-target panel replayed unpaced, over four flow-cell segments,
-    // one per distinct panel virus.
+    // one per distinct panel virus. A pass holds ≈ 250 reads and takes
+    // most of a 20 s run: at ≈ 100 reads, residence p50, enrichment and tpr
+    // spread 30 %, 17 % and 19 % across ten seeds; ≈ 200 reads on 1024
+    // channels fared no better.
     Spec {
         name: "saturate-panel",
-        paced: false,
+        drive: Drive::Saturate { window_s: 15.0 },
         panel: true,
         channels: 312,
-        target_fraction: 0.5,
         separation_floor: 0.15,
     },
 ];
