@@ -267,17 +267,18 @@ impl<T: ReadClassifier + ?Sized> ReadClassifier for &T {
     }
 }
 
-// Shared scaffolding of the sDTW streaming sessions, defined in
+// Scaffolding of the sDTW streaming session, defined in
 // `sf_squiggle::normalize` where it also backs the batch normalization entry
 // points. The feed buffers raw samples until the normalizer's calibration
 // window fills, estimates the normalization parameters, re-estimates them
 // over the trailing window every `NormalizerConfig::recalibration_interval`
 // samples, and drains normalized samples through the session's per-sample
 // sink (which returns `true` to stop after a final decision). One shared
-// state machine is what keeps the single-stage and multi-stage sessions —
-// and the one-shot `classify` paths — bit-identical in how they normalize,
-// the property the streaming/one-shot parity tests pin down even when
-// parameters drift mid-read.
+// state machine is what keeps the staged session (`crate::FilterSession`,
+// behind both `SquiggleFilter` and `MultiStageFilter`) and the one-shot
+// `classify` loop bit-identical in how they normalize, the property the
+// streaming/one-shot parity tests pin down even when parameters drift
+// mid-read.
 pub(crate) use sf_squiggle::normalize::CalibratingFeed;
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The SquiggleFilter: single-stage raw-signal read classification.
+//! The SquiggleFilter, and the staged streaming engine behind every sDTW
+//! filter in this crate.
 //!
 //! A [`SquiggleFilter`] owns the pre-computed reference squiggle of the target
 //! virus (forward and reverse strands), a normalizer and an sDTW kernel. For
@@ -10,12 +11,21 @@
 //! 4. aligns them against the reference with subsequence DTW, and
 //! 5. compares the best alignment cost against a threshold: cost above the
 //!    threshold ⇒ the read is not from the target virus ⇒ eject it.
+//!
+//! Multi-stage filtering (paper §4.6) is the general case: the accelerator
+//! carries its DP row across stage boundaries and thresholds at each one.
+//! A single-stage filter is one stage of it, so [`SquiggleFilter`] and
+//! [`MultiStageFilter`] are thin constructors over one staged engine and
+//! stream reads through one [`FilterSession`].
+//!
+//! [`MultiStageFilter`]: crate::MultiStageFilter
 
 use crate::classifier::{
     CalibratingFeed, ClassifierSession, Decision, ReadClassifier, StreamClassification,
 };
 use crate::config::SdtwConfig;
 use crate::kernel::{FloatSdtw, IntSdtw, SdtwKernel, SdtwStream};
+use crate::multistage::{Stage, StagedClassification};
 use crate::result::SdtwResult;
 use crate::telemetry::{metrics, ChunkSpan, SessionStats};
 use sf_genome::Sequence;
@@ -169,30 +179,27 @@ impl Default for FilterConfig {
 #[derive(Debug, Clone)]
 pub struct SquiggleFilter {
     config: FilterConfig,
-    normalizer: Normalizer,
-    kernel: Box<dyn SdtwKernel>,
-    reference_samples: usize,
+    engine: StagedEngine,
 }
 
 impl SquiggleFilter {
-    /// Builds a filter from a pre-computed reference squiggle.
+    /// Builds a filter from a pre-computed reference squiggle: a one-stage
+    /// engine deciding at `prefix_samples` against `threshold`.
     pub fn new(reference: &ReferenceSquiggle, config: FilterConfig) -> Self {
-        let normalizer = Normalizer::new(config.normalizer);
-        let reference_samples = reference.total_samples();
-        let kernel: Box<dyn SdtwKernel> = match config.precision {
-            FilterPrecision::Int8 => Box::new(IntSdtw::new(
-                config.sdtw,
-                reference.concatenated_quantized(),
-            )),
-            FilterPrecision::Float32 => {
-                Box::new(FloatSdtw::new(config.sdtw, reference.concatenated()))
-            }
+        let stage = Stage {
+            prefix_samples: config.prefix_samples,
+            threshold: config.threshold,
         };
         SquiggleFilter {
+            engine: StagedEngine::new(
+                reference,
+                config.precision,
+                config.sdtw,
+                config.normalizer,
+                vec![stage],
+                config.early_exit_interval,
+            ),
             config,
-            normalizer,
-            kernel,
-            reference_samples,
         }
     }
 
@@ -211,7 +218,7 @@ impl SquiggleFilter {
     /// Number of reference samples scanned per classification (forward plus
     /// reverse strand).
     pub fn reference_samples(&self) -> usize {
-        self.reference_samples
+        self.engine.reference_samples()
     }
 
     /// Scores a read prefix: normalizes, quantizes (if configured) and runs
@@ -221,22 +228,13 @@ impl SquiggleFilter {
     /// [`FilterPrecision::Int8`], which is bit-identical to quantizing the
     /// whole normalized prefix up front.
     pub fn score(&self, squiggle: &RawSquiggle) -> Option<SdtwResult> {
-        let prefix = squiggle.prefix(self.config.prefix_samples);
-        if prefix.is_empty() {
-            return None;
-        }
-        let query = self.normalizer.normalize_raw(prefix.samples());
-        self.kernel.align_normalized(&query)
+        Some(self.engine.classify(squiggle.samples())?.result)
     }
 
     /// Scores an already-normalized query (used by the ablation benches that
     /// bypass the raw-signal path).
     pub fn score_normalized(&self, query: &[f32]) -> Option<SdtwResult> {
-        if query.is_empty() {
-            return None;
-        }
-        let query = &query[..query.len().min(self.config.prefix_samples)];
-        self.kernel.align_normalized(query)
+        Some(self.engine.classify_normalized(query)?.result)
     }
 
     /// Classifies a read: [`FilterVerdict::Accept`] when the alignment cost is
@@ -245,51 +243,28 @@ impl SquiggleFilter {
     /// An empty squiggle is accepted (no evidence to eject — the safe
     /// default, since false negatives lose target reads permanently).
     pub fn classify(&self, squiggle: &RawSquiggle) -> Classification {
-        match self.score(squiggle) {
-            Some(result) => Classification {
-                verdict: if result.cost <= self.config.threshold {
-                    FilterVerdict::Accept
-                } else {
-                    FilterVerdict::Reject
-                },
-                result,
-                threshold: self.config.threshold,
-            },
-            None => Classification {
-                verdict: FilterVerdict::Accept,
-                result: SdtwResult {
-                    cost: 0.0,
-                    start_position: 0,
-                    end_position: 0,
-                    query_samples: 0,
-                },
-                threshold: self.config.threshold,
-            },
+        let outcome = self
+            .engine
+            .classify(squiggle.samples())
+            .unwrap_or(EMPTY_READ);
+        Classification {
+            verdict: outcome.verdict,
+            result: outcome.result,
+            threshold: self.config.threshold,
         }
     }
 
     /// Number of DP cells evaluated per classified read (≈ the operation
     /// count of §4.8).
     pub fn cells_per_read(&self) -> u64 {
-        self.config.prefix_samples as u64 * self.reference_samples as u64
+        self.config.prefix_samples as u64 * self.reference_samples() as u64
     }
 
     /// Opens a streaming session (the concrete type behind
     /// [`ReadClassifier::start_read`], exposed for callers that want to avoid
     /// the boxed trait object).
-    pub fn session(&self) -> SquiggleFilterSession<'_> {
-        let interval = self.config.early_exit_interval;
-        SquiggleFilterSession {
-            filter: self,
-            feed: CalibratingFeed::new(self.config.normalizer, self.config.prefix_samples),
-            kernel: self.kernel.start(),
-            decision: Decision::Wait,
-            decided_early: false,
-            result: None,
-            decided_at: None,
-            next_check: if interval == 0 { usize::MAX } else { interval },
-            stats: SessionStats::default(),
-        }
+    pub fn session(&self) -> FilterSession<'_> {
+        self.engine.session()
     }
 }
 
@@ -299,158 +274,323 @@ impl ReadClassifier for SquiggleFilter {
     }
 
     fn max_decision_samples(&self) -> usize {
-        self.config.prefix_samples
+        self.engine.budget()
     }
 }
 
-/// A streaming [`SquiggleFilter`] classification of one read.
+/// The outcome for an empty read: accepted at stage 0 on no samples (no
+/// evidence to eject — the safe default, since false negatives lose target
+/// reads permanently).
+pub(crate) const EMPTY_READ: StagedClassification = StagedClassification {
+    verdict: FilterVerdict::Accept,
+    deciding_stage: 0,
+    samples_used: 0,
+    result: SdtwResult {
+        cost: 0.0,
+        start_position: 0,
+        end_position: 0,
+        query_samples: 0,
+    },
+};
+
+/// `true` when an alignment cost fails a stage's threshold. Every decision
+/// of the engine — stage boundary, early reject, end of read — uses this one
+/// form. Its complement, accept iff `cost <= threshold`, is the same test
+/// because costs are never NaN: the normalizer floors its scale at
+/// `f32::EPSILON`, so `u16` input normalizes to finite samples and every DP
+/// cost stays ordered against any threshold.
+#[inline]
+fn exceeds(cost: f64, threshold: f64) -> bool {
+    cost > threshold
+}
+
+/// The staged sDTW engine: the kernel, the normalizer, the stages (a
+/// cumulative `prefix_samples` and a `threshold` each) and the streaming
+/// early-reject interval. [`SquiggleFilter`] builds it with one stage,
+/// [`MultiStageFilter`](crate::MultiStageFilter) with several.
+#[derive(Debug, Clone)]
+pub(crate) struct StagedEngine {
+    kernel: Box<dyn SdtwKernel>,
+    normalizer: Normalizer,
+    /// Non-empty, in strictly increasing `prefix_samples` order.
+    stages: Vec<Stage>,
+    /// Samples between early-reject checks (`0` disables them).
+    early_exit_interval: usize,
+}
+
+impl StagedEngine {
+    /// Builds the `precision` kernel over both strands of `reference`.
+    pub(crate) fn new(
+        reference: &ReferenceSquiggle,
+        precision: FilterPrecision,
+        sdtw: SdtwConfig,
+        normalizer: NormalizerConfig,
+        stages: Vec<Stage>,
+        early_exit_interval: usize,
+    ) -> Self {
+        let kernel: Box<dyn SdtwKernel> = match precision {
+            FilterPrecision::Int8 => {
+                Box::new(IntSdtw::new(sdtw, reference.concatenated_quantized()))
+            }
+            FilterPrecision::Float32 => Box::new(FloatSdtw::new(sdtw, reference.concatenated())),
+        };
+        StagedEngine {
+            kernel,
+            normalizer: Normalizer::new(normalizer),
+            stages,
+            early_exit_interval,
+        }
+    }
+
+    /// Reference samples (DP columns) scanned per query sample.
+    pub(crate) fn reference_samples(&self) -> usize {
+        self.kernel.reference_len()
+    }
+
+    /// Raw samples the last stage examines: the decision budget.
+    pub(crate) fn budget(&self) -> usize {
+        self.stages.last().map_or(0, |stage| stage.prefix_samples)
+    }
+
+    /// One-shot staged classification of a raw read, or `None` for an empty
+    /// read. `normalize_raw` runs the rolling re-estimation schedule the
+    /// sessions' feed runs, which keeps the two paths bit-identical.
+    pub(crate) fn classify(&self, samples: &[u16]) -> Option<StagedClassification> {
+        let prefix = &samples[..samples.len().min(self.budget())];
+        self.classify_normalized(&self.normalizer.normalize_raw(prefix))
+    }
+
+    /// The one-shot staged loop: extends one DP stream to each stage's
+    /// prefix and tests that stage's threshold on `best()`, stopping at the
+    /// first reject, at the last stage, or where the query ends. The DP
+    /// state carries across stages, so nothing is recomputed. Returns `None`
+    /// when nothing was aligned.
+    pub(crate) fn classify_normalized(&self, query: &[f32]) -> Option<StagedClassification> {
+        let mut stream = self.kernel.start();
+        let last = self.stages.len() - 1;
+        for (index, stage) in self.stages.iter().enumerate() {
+            let done = stream.samples_processed();
+            let until = stage.prefix_samples.min(query.len());
+            stream.extend_normalized(&query[done..until]);
+            let result = stream.best()?;
+            let verdict = if exceeds(result.cost, stage.threshold) {
+                FilterVerdict::Reject
+            } else if index == last || until == query.len() {
+                FilterVerdict::Accept
+            } else {
+                continue;
+            };
+            return Some(StagedClassification {
+                verdict,
+                deciding_stage: index,
+                samples_used: until,
+                result,
+            });
+        }
+        None
+    }
+
+    /// Opens a streaming session over this engine.
+    pub(crate) fn session(&self) -> FilterSession<'_> {
+        let interval = self.early_exit_interval;
+        FilterSession {
+            engine: self,
+            feed: CalibratingFeed::new(*self.normalizer.config(), self.budget()),
+            run: StageRun {
+                stream: self.kernel.start(),
+                stage: 0,
+                next_check: if interval == 0 { usize::MAX } else { interval },
+                decision: Decision::Wait,
+                result: None,
+                stats: SessionStats::default(),
+            },
+            decided_at: None,
+            decided_early: false,
+        }
+    }
+}
+
+/// A streaming classification of one read — the session behind both
+/// [`SquiggleFilter`] (one stage) and
+/// [`MultiStageFilter`](crate::MultiStageFilter).
 ///
-/// The session buffers raw samples until the normalizer's calibration window
-/// fills, then normalizes incrementally — re-estimating the parameters over
-/// the trailing window every `NormalizerConfig::recalibration_interval`
-/// samples — and feeds the resumable DP stream. The one-shot
-/// [`SquiggleFilter::classify`] runs the identical rolling state machine, so
-/// any chunking of the same sample stream is bit-identical to it on the same
-/// prefix. Between calibration and the full `prefix_samples`, a sound
-/// early-reject bound fires for clearly-non-target reads before the prefix
-/// completes (checked every `early_exit_interval` samples).
+/// Raw samples are buffered until the normalizer's calibration window fills,
+/// then normalized incrementally (re-estimated over the trailing window every
+/// `NormalizerConfig::recalibration_interval` samples) into one resumable DP
+/// stream. At each stage's prefix the session rejects, escalates to the next
+/// stage or, on the last stage, accepts; between prefixes a sound
+/// early-reject bound against the current stage's threshold is checked every
+/// `early_exit_interval` samples (`MultiStageFilter` runs with it off). The
+/// one-shot `classify` runs the same normalization and stage schedule, so any
+/// chunking of a read is bit-identical to it on the same prefix.
 ///
-/// Because normalization parameters come from the first
-/// `calibration_window` raw samples, no decision can fire before that window
-/// has arrived: with the default window equal to `prefix_samples`, early
-/// exit saves DP work but not sequencing time. Configure a shorter window
-/// plus a `recalibration_interval` below `prefix_samples` when streaming
-/// ejection latency matters — the rolling re-estimation recovers the
-/// accuracy a short *frozen* window would lose, and the one-shot path uses
-/// the same schedule, so parity is preserved (see `docs/streaming.md`).
+/// No decision can fire before `calibration_window` raw samples have
+/// arrived: `samples_consumed` reports that arrival time, whereas
+/// [`StagedClassification::samples_used`] reports the deciding stage's DP
+/// position. When ejection latency matters, configure a window no longer
+/// than the first decision point and a `recalibration_interval` below the
+/// prefix — rolling re-estimation recovers the accuracy a short *frozen*
+/// window would lose (see `docs/streaming.md`).
 #[derive(Debug)]
-pub struct SquiggleFilterSession<'a> {
-    filter: &'a SquiggleFilter,
+pub struct FilterSession<'a> {
+    engine: &'a StagedEngine,
     feed: CalibratingFeed,
-    kernel: Box<dyn SdtwStream + 'a>,
-    decision: Decision,
-    decided_early: bool,
-    /// Alignment state captured at decision time.
-    result: Option<SdtwResult>,
+    run: StageRun<'a>,
     /// Raw-sample count at which the decision became available: the deciding
     /// DP row's position, but never before the calibration window filled and
     /// never more samples than the read delivered.
     decided_at: Option<usize>,
+    decided_early: bool,
+}
+
+/// The part of a [`FilterSession`] its [`CalibratingFeed`] sink mutates.
+#[derive(Debug)]
+struct StageRun<'a> {
+    stream: Box<dyn SdtwStream + 'a>,
+    /// Index of the stage whose prefix the stream is heading for.
+    stage: usize,
     /// Next sample count at which the early-reject bound is evaluated.
     next_check: usize,
+    decision: Decision,
+    /// Alignment state captured at decision time.
+    result: Option<SdtwResult>,
     /// Telemetry accumulators, flushed once per chunk.
     stats: SessionStats,
 }
 
-/// Per-sample DP advance and decision checks (the [`CalibratingFeed`] sink):
-/// pushes one normalized sample and returns `true` once a decision is final.
-fn advance(
-    config: &FilterConfig,
-    kernel: &mut dyn SdtwStream,
-    decision: &mut Decision,
-    result: &mut Option<SdtwResult>,
-    next_check: &mut usize,
-    stats: &mut SessionStats,
-    z: f32,
-) -> bool {
-    kernel.push_normalized(z);
-    let n = kernel.samples_processed();
-    if n == config.prefix_samples {
-        let sw = Stopwatch::start();
-        // sf-lint: allow(panic) -- best() is Some once any sample has been pushed
-        let best = kernel.best().expect("samples were pushed");
-        stats.decision_ns += sw.elapsed_ns();
-        *decision = if best.cost <= config.threshold {
-            Decision::Accept
-        } else {
-            Decision::Reject
-        };
-        *result = Some(best);
-        return true;
-    }
-    if n == *next_check {
-        *next_check += config.early_exit_interval;
-        let sw = Stopwatch::start();
-        // sf-lint: allow(panic) -- best() is Some once any sample has been pushed
-        let best = kernel.best().expect("samples were pushed");
-        stats.decision_ns += sw.elapsed_ns();
-        let slack = config.sdtw.early_reject_slack(config.prefix_samples - n);
-        // Sound bound: the row minimum cannot drop below this by the time
-        // the full prefix has been consumed, so a reject here is exactly the
-        // verdict the one-shot path will reach.
-        if best.cost - slack > config.threshold {
-            *decision = Decision::Reject;
-            *result = Some(best);
-            return true;
+impl StageRun<'_> {
+    /// Per-sample DP advance and decision checks (the [`CalibratingFeed`]
+    /// sink): pushes one normalized sample and returns `true` once a
+    /// decision is final.
+    fn advance(&mut self, engine: &StagedEngine, z: f32) -> bool {
+        self.stream.push_normalized(z);
+        let n = self.stream.samples_processed();
+        let mut stage = engine.stages[self.stage];
+        if n == stage.prefix_samples {
+            let best = self.best();
+            if exceeds(best.cost, stage.threshold) {
+                return self.latch(Decision::Reject, best);
+            }
+            if self.stage + 1 == engine.stages.len() {
+                return self.latch(Decision::Accept, best);
+            }
+            self.stage += 1;
+            metrics().stage_escalations.incr();
+            stage = engine.stages[self.stage];
         }
+        if n == self.next_check {
+            self.next_check += engine.early_exit_interval;
+            let best = self.best();
+            // Sound bound: the row minimum cannot drop below this by the
+            // time the stage's prefix has been consumed, so a reject here is
+            // exactly the verdict the one-shot path will reach.
+            let slack = engine
+                .kernel
+                .config()
+                .early_reject_slack(stage.prefix_samples - n);
+            if exceeds(best.cost - slack, stage.threshold) {
+                return self.latch(Decision::Reject, best);
+            }
+        }
+        false
     }
-    false
+
+    /// The current best alignment, timed as decision-scan work.
+    fn best(&mut self) -> SdtwResult {
+        let sw = Stopwatch::start();
+        // sf-lint: allow(panic) -- best() is Some once any sample has been pushed
+        let best = self.stream.best().expect("samples were pushed");
+        self.stats.decision_ns += sw.elapsed_ns();
+        best
+    }
+
+    /// Commits to a final decision; returns `true` to stop the feed.
+    fn latch(&mut self, decision: Decision, result: SdtwResult) -> bool {
+        self.decision = decision;
+        self.result = Some(result);
+        true
+    }
 }
 
-impl SquiggleFilterSession<'_> {
-    /// Records when a just-made mid-stream decision became available and
-    /// whether it beat the sample budget.
+impl FilterSession<'_> {
+    /// Drains `chunk` — or, at end of read (`None`), whatever the feed still
+    /// buffers — through [`StageRun::advance`] in one telemetry span, then
+    /// records when a decision reached here became available.
+    fn drive(&mut self, chunk: Option<&[u16]>) {
+        let engine = self.engine;
+        let Self { feed, run, .. } = self;
+        let span = ChunkSpan::begin(&*run.stream, feed.estimate_ns(), &run.stats);
+        let mut sink = |z: f32| run.advance(engine, z);
+        match chunk {
+            Some(chunk) => feed.push(chunk, &mut sink),
+            None => feed.flush(&mut sink),
+        }
+        span.finish(&*run.stream, feed.estimate_ns(), &run.stats);
+        if run.decision.is_final() {
+            // A decision the end-of-read flush reached saved nothing: the
+            // read is already over.
+            self.record_decision_point(chunk.is_some());
+        }
+    }
+
+    /// Records when a just-made decision became available and whether it
+    /// beat the sample budget.
     fn record_decision_point(&mut self, early_possible: bool) {
-        let at = self.feed.decision_point(self.kernel.samples_processed());
+        let at = self
+            .feed
+            .decision_point(self.run.stream.samples_processed());
         self.decided_at = Some(at);
-        self.decided_early = early_possible
-            && self.decision == Decision::Reject
-            && at < self.filter.config.prefix_samples;
+        self.decided_early =
+            early_possible && self.run.decision == Decision::Reject && at < self.engine.budget();
         if self.decided_early {
             metrics().early_rejects.incr();
         }
     }
+
+    /// Decides a read that ended short of its next stage's prefix on the
+    /// samples it delivered, exactly like the one-shot loop on the same
+    /// short prefix.
+    fn decide_at_end_of_read(&mut self) {
+        let sw = Stopwatch::start();
+        let stages = &self.engine.stages;
+        let run = &mut self.run;
+        let (decision, result) = match run.stream.best() {
+            Some(best) => {
+                // A read that ended *exactly* at a stage's prefix already
+                // passed that stage in advance(); the one-shot loop treats
+                // that stage as the last one (the query ended there), so
+                // judge against it, not the never-reached next stage.
+                let n = run.stream.samples_processed();
+                let stage = match run.stage.checked_sub(1) {
+                    Some(passed) if stages[passed].prefix_samples == n => passed,
+                    _ => run.stage,
+                };
+                let decision = if exceeds(best.cost, stages[stage].threshold) {
+                    Decision::Reject
+                } else {
+                    Decision::Accept
+                };
+                (decision, best)
+            }
+            None => (Decision::Accept, EMPTY_READ.result),
+        };
+        run.latch(decision, result);
+        metrics().decision_ns.add(sw.elapsed_ns());
+        // Resolved at end-of-read: every received sample was needed.
+        self.decided_at = Some(self.feed.received());
+    }
 }
 
-impl ClassifierSession for SquiggleFilterSession<'_> {
+impl ClassifierSession for FilterSession<'_> {
     fn push_chunk(&mut self, chunk: &[u16]) -> Decision {
-        if self.decision.is_final() {
-            return self.decision;
+        if !self.run.decision.is_final() {
+            self.drive(Some(chunk));
         }
-        let Self {
-            filter,
-            feed,
-            kernel,
-            decision,
-            result,
-            next_check,
-            stats,
-            ..
-        } = self;
-        let config = filter.config;
-        let span = ChunkSpan::begin(
-            kernel.samples_processed(),
-            kernel.cells_evaluated(),
-            kernel.band_cells_skipped(),
-            feed.estimate_ns(),
-            stats,
-        );
-        feed.push(chunk, &mut |z| {
-            advance(
-                &config,
-                kernel.as_mut(),
-                decision,
-                result,
-                next_check,
-                stats,
-                z,
-            )
-        });
-        span.finish(
-            kernel.samples_processed(),
-            kernel.cells_evaluated(),
-            kernel.band_cells_skipped(),
-            feed.estimate_ns(),
-            stats,
-        );
-        if self.decision.is_final() {
-            self.record_decision_point(true);
-        }
-        self.decision
+        self.run.decision
     }
 
     fn decision(&self) -> Decision {
-        self.decision
+        self.run.decision
     }
 
     fn samples_consumed(&self) -> usize {
@@ -458,83 +598,19 @@ impl ClassifierSession for SquiggleFilterSession<'_> {
     }
 
     fn finalize(&mut self) -> StreamClassification {
-        let config = self.filter.config;
-        if !self.decision.is_final() {
+        if !self.run.decision.is_final() {
             // The read ended before the calibration window filled: calibrate
-            // on what we have (which can itself reach a decision — but one
-            // that saved nothing, the read is already over).
-            let Self {
-                feed,
-                kernel,
-                decision,
-                result,
-                next_check,
-                stats,
-                ..
-            } = self;
-            let span = ChunkSpan::begin(
-                kernel.samples_processed(),
-                kernel.cells_evaluated(),
-                kernel.band_cells_skipped(),
-                feed.estimate_ns(),
-                stats,
-            );
-            feed.flush(&mut |z| {
-                advance(
-                    &config,
-                    kernel.as_mut(),
-                    decision,
-                    result,
-                    next_check,
-                    stats,
-                    z,
-                )
-            });
-            span.finish(
-                kernel.samples_processed(),
-                kernel.cells_evaluated(),
-                kernel.band_cells_skipped(),
-                feed.estimate_ns(),
-                stats,
-            );
-            if self.decision.is_final() {
-                self.record_decision_point(false);
-            }
+            // on what we have (which can itself reach a decision).
+            self.drive(None);
         }
-        if !self.decision.is_final() {
-            // Decide on the partial prefix, exactly like the one-shot path
-            // would on the same short prefix.
-            let sw = Stopwatch::start();
-            match self.kernel.best() {
-                Some(best) => {
-                    self.decision = if best.cost <= config.threshold {
-                        Decision::Accept
-                    } else {
-                        Decision::Reject
-                    };
-                    self.result = Some(best);
-                }
-                None => {
-                    // Empty read: accept (no evidence to eject), as in
-                    // `SquiggleFilter::classify`.
-                    self.decision = Decision::Accept;
-                    self.result = Some(SdtwResult {
-                        cost: 0.0,
-                        start_position: 0,
-                        end_position: 0,
-                        query_samples: 0,
-                    });
-                }
-            }
-            metrics().decision_ns.add(sw.elapsed_ns());
-            // Resolved at end-of-read: every received sample was needed.
-            self.decided_at = Some(self.feed.received());
+        if !self.run.decision.is_final() {
+            self.decide_at_end_of_read();
         }
-        // sf-lint: allow(panic) -- the decision latch above always stores a result first
-        let result = self.result.expect("final decision carries a result");
+        // sf-lint: allow(panic) -- every path to a final decision latches a result
+        let result = self.run.result.expect("final decision carries a result");
         StreamClassification {
             // sf-lint: allow(panic) -- finalize() resolved the decision on the lines above
-            verdict: self.decision.verdict().expect("decision is final"),
+            verdict: self.run.decision.verdict().expect("decision is final"),
             score: result.cost,
             result: Some(result),
             samples_consumed: self.samples_consumed(),

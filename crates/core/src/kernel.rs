@@ -4,9 +4,9 @@
 //! domains through the [`SdtwLane`] trait (sample type, cost type, and the
 //! three arithmetic ops the recurrence needs). On top of it sit two
 //! object-safe traits — [`SdtwKernel`] for engines and [`SdtwStream`] for
-//! their resumable row states — which is what `filter.rs` / `multistage.rs`
-//! consume: one `Box<dyn SdtwKernel>` instead of parallel Int/Float match
-//! arms, with queries crossing the trait boundary as *normalized* `f32`
+//! their resumable row states — which is what the staged filter engine in
+//! `filter.rs` consumes: one `Box<dyn SdtwKernel>` instead of parallel
+//! Int/Float match arms, with queries crossing the trait boundary as *normalized* `f32`
 //! samples (the integer lane quantizes internally with the exact per-sample
 //! formula the old call sites used, so the unification is bit-exact).
 //!
@@ -277,8 +277,6 @@ pub trait SdtwKernel: fmt::Debug + Send + Sync {
     fn reference_len(&self) -> usize;
     /// The resolved row-update backend (never [`KernelBackend::Auto`]).
     fn backend(&self) -> KernelBackend;
-    /// Aligns a complete normalized query, or `None` for an empty query.
-    fn align_normalized(&self, query: &[f32]) -> Option<SdtwResult>;
     /// Starts a streaming alignment.
     fn start(&self) -> Box<dyn SdtwStream + '_>;
     /// Clones the kernel behind the trait object.
@@ -455,15 +453,6 @@ impl<L: SdtwLane> SdtwKernel for Sdtw<L> {
         self.backend()
     }
 
-    fn align_normalized(&self, query: &[f32]) -> Option<SdtwResult> {
-        if query.is_empty() {
-            return None;
-        }
-        let mut stream = self.stream();
-        stream.extend_normalized(query);
-        stream.best()
-    }
-
     fn start(&self) -> Box<dyn SdtwStream + '_> {
         Box::new(self.stream())
     }
@@ -540,7 +529,7 @@ impl<L: SdtwLane> KernelStream<'_, L> {
         self.flush_oneshot(query.len() as u64, cells_before, skipped_before);
     }
 
-    /// One-shot callers (align, multi-stage classify) reach the kernel
+    /// One-shot callers (align, the staged classify loop) reach the kernel
     /// through extend; streaming sessions push per sample and account DP
     /// work through their chunk spans, so the two counting paths never
     /// overlap.
@@ -1321,7 +1310,7 @@ mod tests {
         assert_eq!(cloned.reference_len(), reference.len());
         assert_eq!(cloned.backend(), KernelBackend::Vector);
 
-        // align_normalized == stream of push_normalized == typed quantize path.
+        // extend_normalized == stream of push_normalized == typed quantize path.
         let want = typed
             .align(
                 &query_z
@@ -1330,7 +1319,9 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
             .unwrap();
-        assert_eq!(boxed.align_normalized(&query_z), Some(want));
+        let mut batch = boxed.start();
+        batch.extend_normalized(&query_z);
+        assert_eq!(batch.best(), Some(want));
         let mut stream = boxed.start();
         for &z in &query_z {
             stream.push_normalized(z);
@@ -1342,6 +1333,6 @@ mod tests {
             query_z.len() as u64 * reference.len() as u64
         );
         assert_eq!(stream.band_cells_skipped(), 0);
-        assert_eq!(boxed.align_normalized(&[]), None);
+        assert_eq!(boxed.start().best(), None);
     }
 }

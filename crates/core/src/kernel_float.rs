@@ -1,25 +1,12 @@
-//! Floating-point subsequence-DTW kernel.
-//!
-//! This is the software-precision version of the filter, used for the vanilla
-//! baseline and for the ablation points of Figure 18 that keep floating-point
-//! normalization. The integer kernel in [`crate::kernel_int`] mirrors the same
-//! recurrence in the accelerator's 8-bit domain.
-//!
-//! The kernel is *streaming*: query samples are pushed one at a time and only
-//! the current DP row is kept (`O(M)` memory for an `N × M` problem), which is
-//! also how the accelerator operates and what makes multi-stage filtering
-//! resumable without recomputation.
-//!
-//! Since the kernel unification, [`FloatSdtw`] is an alias for the generic
-//! engine in [`crate::kernel`] instantiated with [`crate::kernel::FloatLane`];
-//! this module keeps the float-domain test suite.
-
-pub use crate::kernel::{FloatSdtw, FloatSdtwStream};
+//! Floating-point test suite of the sDTW engine in `kernel.rs`: the `f32`
+//! `FloatSdtw` is the software-precision filter, used for the vanilla
+//! baseline and for the Figure 18 ablation points that keep floating-point
+//! normalization.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{DistanceMetric, SdtwConfig};
+    use crate::kernel::FloatSdtw;
 
     /// Builds a pseudo-random, non-repeating reference signal, and a query
     /// that repeats a slice of it (simulating multiple samples per base).

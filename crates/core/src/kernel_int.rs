@@ -1,23 +1,13 @@
-//! Integer (8-bit fixed-point) subsequence-DTW kernel.
-//!
-//! This kernel operates in exactly the domain of the accelerator: queries and
-//! references are signed 8-bit fixed-point samples (normalized currents in
-//! `[-4, 4]` mapped to `[-127, 127]`), per-cell distances are small integers,
-//! and costs accumulate in 32-bit integers. The hardware model in `sf-hw`
-//! executes the same recurrence cycle-by-cycle and is checked cell-for-cell
-//! against this implementation.
-//!
-//! Since the kernel unification, [`IntSdtw`] is an alias for the generic
-//! engine in [`crate::kernel`] instantiated with [`crate::kernel::IntLane`];
-//! this module keeps the integer-domain test suite.
-
-pub use crate::kernel::{IntSdtw, IntSdtwStream};
+//! Integer-domain test suite of the sDTW engine in `kernel.rs`: the 8-bit
+//! fixed-point `IntSdtw` works in exactly the domain of the accelerator
+//! (normalized currents in `[-4, 4]` mapped to `[-127, 127]`, costs
+//! accumulated in 32-bit integers), and the hardware model in `sf-hw` is
+//! checked cell-for-cell against it.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::SdtwConfig;
-    use crate::kernel_float::FloatSdtw;
+    use crate::kernel::{FloatSdtw, IntSdtw};
 
     fn reference_signal() -> Vec<i8> {
         let mut x: u32 = 99;

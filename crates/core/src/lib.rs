@@ -13,16 +13,19 @@
 //!   row-update selector.
 //! * [`kernel`] — the unified streaming subsequence-DTW engine: one generic
 //!   implementation behind the [`SdtwKernel`] / [`SdtwStream`] traits, with
-//!   scalar and vectorized backends and optional Sakoe–Chiba banding.
-//! * [`kernel_float`] / [`kernel_int`] — the floating-point and 8-bit
-//!   fixed-point instantiations ([`FloatSdtw`] / [`IntSdtw`]).
+//!   scalar and vectorized backends and optional Sakoe–Chiba banding, in the
+//!   floating-point and 8-bit fixed-point domains ([`FloatSdtw`] /
+//!   [`IntSdtw`]).
 //! * [`classifier`] — the streaming [`ReadClassifier`] API: per-read
 //!   sessions making chunk-wise Accept/Reject/Wait [`Decision`]s, the
 //!   interface every classifier and every consumer in the workspace speaks.
-//! * [`filter`] — the single-stage [`SquiggleFilter`]: normalize a read
-//!   prefix, align it, compare against a threshold (paper §4.5).
+//! * [`filter`] — the single-stage [`SquiggleFilter`] (normalize a read
+//!   prefix, align it, compare against a threshold; paper §4.5) and the
+//!   staged engine behind every sDTW filter: one [`FilterSession`] streams
+//!   reads for both filters, one staged loop backs both `classify` paths.
 //! * [`multistage`] — multi-stage filtering with carried-over DP state
-//!   (paper §4.6).
+//!   (paper §4.6): the stage configuration and [`MultiStageFilter`], a
+//!   constructor over the staged engine.
 //! * [`batch`] — the [`BatchClassifier`]: shared-queue multi-threaded
 //!   classification of whole read batches with merged confusion matrices,
 //!   generic over any [`ReadClassifier`].
@@ -63,8 +66,11 @@ pub mod classifier;
 pub mod config;
 pub mod filter;
 pub mod kernel;
-pub mod kernel_float;
-pub mod kernel_int;
+// The floating-point and 8-bit integer domain test suites of the kernel.
+#[cfg(test)]
+mod kernel_float;
+#[cfg(test)]
+mod kernel_int;
 pub mod multistage;
 pub mod result;
 pub mod telemetry;
@@ -76,15 +82,12 @@ pub use classifier::{
 };
 pub use config::{Band, DistanceMetric, KernelBackend, MatchBonus, SdtwConfig};
 pub use filter::{
-    Classification, FilterConfig, FilterPrecision, FilterVerdict, SquiggleFilter,
-    SquiggleFilterSession,
+    Classification, FilterConfig, FilterPrecision, FilterSession, FilterVerdict, SquiggleFilter,
 };
 pub use kernel::{
     FloatLane, FloatSdtw, FloatSdtwStream, IntLane, IntSdtw, IntSdtwStream, KernelStream, Sdtw,
     SdtwKernel, SdtwLane, SdtwStream,
 };
-pub use multistage::{
-    MultiStageConfig, MultiStageFilter, MultiStageSession, Stage, StagedClassification,
-};
+pub use multistage::{MultiStageConfig, MultiStageFilter, Stage, StagedClassification};
 pub use result::SdtwResult;
 pub use threshold::{calibrate_threshold, OperatingPoint, ThresholdSweep};

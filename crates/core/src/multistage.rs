@@ -8,19 +8,18 @@
 //! aggressive thresholds. Intermediate DP state is carried between stages so
 //! nothing is recomputed — exactly what the accelerator does by spilling the
 //! last PE's costs to DRAM.
+//!
+//! This module holds the stage configuration; the staged engine and its
+//! [`FilterSession`] live in [`crate::filter`], shared with the single-stage
+//! [`crate::SquiggleFilter`].
 
-use crate::classifier::{
-    CalibratingFeed, ClassifierSession, Decision, ReadClassifier, StreamClassification,
-};
+use crate::classifier::{ClassifierSession, ReadClassifier};
 use crate::config::SdtwConfig;
-use crate::filter::FilterVerdict;
-use crate::kernel::{IntSdtw, SdtwKernel, SdtwStream};
+use crate::filter::{FilterPrecision, FilterSession, FilterVerdict, StagedEngine, EMPTY_READ};
 use crate::result::SdtwResult;
-use crate::telemetry::{metrics, ChunkSpan, SessionStats};
 use sf_pore_model::ReferenceSquiggle;
-use sf_squiggle::normalize::{Normalizer, NormalizerConfig};
+use sf_squiggle::normalize::NormalizerConfig;
 use sf_squiggle::RawSquiggle;
-use sf_telemetry::Stopwatch;
 
 /// One filtering stage: examine `prefix_samples` of the read and reject it if
 /// the alignment cost exceeds `threshold`.
@@ -114,9 +113,7 @@ impl MultiStageConfig {
 #[derive(Debug, Clone)]
 pub struct MultiStageFilter {
     config: MultiStageConfig,
-    kernel: Box<dyn SdtwKernel>,
-    normalizer: Normalizer,
-    reference_samples: usize,
+    engine: StagedEngine,
 }
 
 impl MultiStageFilter {
@@ -127,17 +124,18 @@ impl MultiStageFilter {
     /// Panics if the stage list is empty or not strictly increasing.
     pub fn new(reference: &ReferenceSquiggle, config: MultiStageConfig) -> Self {
         config.validate();
-        let kernel: Box<dyn SdtwKernel> = Box::new(IntSdtw::new(
+        // Early reject off (interval 0): stages reject only at their
+        // prefixes. The per-stage bound would change when rejects fire,
+        // which needs its own measurement.
+        let engine = StagedEngine::new(
+            reference,
+            FilterPrecision::Int8,
             config.sdtw,
-            reference.concatenated_quantized(),
-        ));
-        let normalizer = Normalizer::new(config.normalizer);
-        MultiStageFilter {
-            reference_samples: reference.total_samples(),
-            config,
-            kernel,
-            normalizer,
-        }
+            config.normalizer,
+            config.stages.clone(),
+            0,
+        );
+        MultiStageFilter { config, engine }
     }
 
     /// The stage configuration.
@@ -147,83 +145,22 @@ impl MultiStageFilter {
 
     /// Number of reference samples scanned per stage evaluation.
     pub fn reference_samples(&self) -> usize {
-        self.reference_samples
+        self.engine.reference_samples()
     }
 
     /// Classifies a read, stopping at the first stage whose threshold is
     /// exceeded. An empty squiggle is accepted at stage 0.
     pub fn classify(&self, squiggle: &RawSquiggle) -> StagedClassification {
-        let last_stage = self.config.stages.len() - 1;
-        if squiggle.is_empty() {
-            return StagedClassification {
-                verdict: FilterVerdict::Accept,
-                deciding_stage: 0,
-                samples_used: 0,
-                result: SdtwResult {
-                    cost: 0.0,
-                    start_position: 0,
-                    end_position: 0,
-                    query_samples: 0,
-                },
-            };
-        }
-        // Normalize over the longest prefix we may need; normalize_raw runs
-        // the same rolling re-estimation schedule the streaming sessions use
-        // (every `recalibration_interval` samples over the trailing window),
-        // which is what keeps the two paths bit-identical.
-        let max_prefix = self.config.stages[last_stage].prefix_samples;
-        let prefix = squiggle.prefix(max_prefix);
-        // The kernel quantizes per normalized sample, bit-identical to the
-        // old quantize-the-whole-prefix path.
-        let query = self.normalizer.normalize_raw(prefix.samples());
-
-        let mut stream = self.kernel.start();
-        let mut consumed = 0usize;
-        for (index, stage) in self.config.stages.iter().enumerate() {
-            let until = stage.prefix_samples.min(query.len());
-            if until > consumed {
-                stream.extend_normalized(&query[consumed..until]);
-                consumed = until;
-            }
-            // sf-lint: allow(panic) -- every stage extends the stream before deciding
-            let result = stream.best().expect("at least one sample was pushed");
-            let reject = result.cost > stage.threshold;
-            let is_last = index == last_stage || consumed == query.len();
-            if reject {
-                return StagedClassification {
-                    verdict: FilterVerdict::Reject,
-                    deciding_stage: index,
-                    samples_used: consumed,
-                    result,
-                };
-            }
-            if is_last {
-                return StagedClassification {
-                    verdict: FilterVerdict::Accept,
-                    deciding_stage: index,
-                    samples_used: consumed,
-                    result,
-                };
-            }
-        }
-        unreachable!("loop always returns on the last stage");
+        self.engine
+            .classify(squiggle.samples())
+            .unwrap_or(EMPTY_READ)
     }
 
     /// Opens a streaming session: chunks accumulate, and each stage's
     /// keep-or-eject test fires the moment its prefix is reached (the
     /// concrete type behind [`ReadClassifier::start_read`]).
-    pub fn session(&self) -> MultiStageSession<'_> {
-        MultiStageSession {
-            filter: self,
-            feed: CalibratingFeed::new(self.config.normalizer, self.max_decision_samples()),
-            stream: self.kernel.start(),
-            stage: 0,
-            decision: Decision::Wait,
-            decided_early: false,
-            result: None,
-            decided_at: None,
-            stats: SessionStats::default(),
-        }
+    pub fn session(&self) -> FilterSession<'_> {
+        self.engine.session()
     }
 }
 
@@ -233,248 +170,14 @@ impl ReadClassifier for MultiStageFilter {
     }
 
     fn max_decision_samples(&self) -> usize {
-        self.config
-            .stages
-            .last()
-            // sf-lint: allow(panic) -- MultiStageConfig::validate rejects empty stage lists
-            .expect("stages are validated non-empty")
-            .prefix_samples
-    }
-}
-
-/// A streaming multi-stage classification of one read.
-///
-/// DP state is carried across stage boundaries exactly as in
-/// [`MultiStageFilter::classify`] — nothing is recomputed when a read
-/// survives a stage — so chunked streaming is bit-identical to the one-shot
-/// path on the same prefix.
-///
-/// Decision timing: normalization parameters come from the first
-/// `calibration_window` raw samples (and are re-estimated every
-/// `recalibration_interval` samples thereafter), so a stage whose prefix is
-/// shorter than the window can only *fire* once the window has filled — the
-/// session's `samples_consumed` reports that honest raw-signal arrival time,
-/// whereas the one-shot [`StagedClassification::samples_used`] reports the
-/// DP position of the deciding stage. Give the config a window no longer
-/// than the first stage's prefix when streaming ejection latency matters;
-/// rolling re-estimation keeps later stages accurate despite the short
-/// initial window.
-#[derive(Debug)]
-pub struct MultiStageSession<'a> {
-    filter: &'a MultiStageFilter,
-    feed: CalibratingFeed,
-    stream: Box<dyn SdtwStream + 'a>,
-    /// Index of the next stage to evaluate.
-    stage: usize,
-    decision: Decision,
-    decided_early: bool,
-    result: Option<SdtwResult>,
-    /// Raw-sample count at which the decision became available: the deciding
-    /// stage's boundary, but never before the calibration window filled and
-    /// never more samples than the read delivered.
-    decided_at: Option<usize>,
-    /// Telemetry accumulators, flushed once per chunk.
-    stats: SessionStats,
-}
-
-/// Per-sample DP advance and stage-boundary checks (the [`CalibratingFeed`]
-/// sink): pushes one normalized-and-quantized sample and returns `true` once
-/// a decision is final.
-fn advance(
-    stages: &[Stage],
-    stream: &mut dyn SdtwStream,
-    stage: &mut usize,
-    decision: &mut Decision,
-    result: &mut Option<SdtwResult>,
-    stats: &mut SessionStats,
-    z: f32,
-) -> bool {
-    // The shared per-sample formula (the kernel quantizes internally) keeps
-    // streaming bit-identical to `classify`.
-    stream.push_normalized(z);
-    let n = stream.samples_processed();
-    if n == stages[*stage].prefix_samples {
-        let sw = Stopwatch::start();
-        // sf-lint: allow(panic) -- best() is Some once any sample has been pushed
-        let best = stream.best().expect("samples were pushed");
-        stats.decision_ns += sw.elapsed_ns();
-        if best.cost > stages[*stage].threshold {
-            *decision = Decision::Reject;
-            *result = Some(best);
-            return true;
-        }
-        if *stage == stages.len() - 1 {
-            *decision = Decision::Accept;
-            *result = Some(best);
-            return true;
-        }
-        *stage += 1;
-        metrics().stage_escalations.incr();
-    }
-    false
-}
-
-impl MultiStageSession<'_> {
-    /// Index of the stage that made (or would make) the decision.
-    pub fn deciding_stage(&self) -> usize {
-        self.stage.min(self.filter.config.stages.len() - 1)
-    }
-
-    /// Records when a just-made decision became available and whether it
-    /// beat the final stage's sample budget.
-    fn record_decision_point(&mut self, early_possible: bool) {
-        let at = self.feed.decision_point(self.stream.samples_processed());
-        self.decided_at = Some(at);
-        self.decided_early = early_possible
-            && self.decision == Decision::Reject
-            && at < self.filter.max_decision_samples();
-        if self.decided_early {
-            metrics().early_rejects.incr();
-        }
-    }
-}
-
-impl ClassifierSession for MultiStageSession<'_> {
-    fn push_chunk(&mut self, chunk: &[u16]) -> Decision {
-        if self.decision.is_final() {
-            return self.decision;
-        }
-        let Self {
-            filter,
-            feed,
-            stream,
-            stage,
-            decision,
-            result,
-            stats,
-            ..
-        } = self;
-        let stages = &filter.config.stages;
-        let span = ChunkSpan::begin(
-            stream.samples_processed(),
-            stream.cells_evaluated(),
-            stream.band_cells_skipped(),
-            feed.estimate_ns(),
-            stats,
-        );
-        feed.push(chunk, &mut |z| {
-            advance(stages, stream.as_mut(), stage, decision, result, stats, z)
-        });
-        span.finish(
-            stream.samples_processed(),
-            stream.cells_evaluated(),
-            stream.band_cells_skipped(),
-            feed.estimate_ns(),
-            stats,
-        );
-        if self.decision.is_final() {
-            self.record_decision_point(true);
-        }
-        self.decision
-    }
-
-    fn decision(&self) -> Decision {
-        self.decision
-    }
-
-    fn samples_consumed(&self) -> usize {
-        self.decided_at.unwrap_or_else(|| self.feed.received())
-    }
-
-    fn finalize(&mut self) -> StreamClassification {
-        if !self.decision.is_final() {
-            // The read ended before the calibration window filled: calibrate
-            // on what we have (which can itself reach a decision — but one
-            // that saved nothing, the read is already over).
-            let Self {
-                filter,
-                feed,
-                stream,
-                stage,
-                decision,
-                result,
-                stats,
-                ..
-            } = self;
-            let stages = &filter.config.stages;
-            let span = ChunkSpan::begin(
-                stream.samples_processed(),
-                stream.cells_evaluated(),
-                stream.band_cells_skipped(),
-                feed.estimate_ns(),
-                stats,
-            );
-            feed.flush(&mut |z| {
-                advance(stages, stream.as_mut(), stage, decision, result, stats, z)
-            });
-            span.finish(
-                stream.samples_processed(),
-                stream.cells_evaluated(),
-                stream.band_cells_skipped(),
-                feed.estimate_ns(),
-                stats,
-            );
-            if self.decision.is_final() {
-                self.record_decision_point(false);
-            }
-        }
-        if !self.decision.is_final() {
-            // The read ended mid-stage: evaluate the pending stage on the
-            // samples we have, exactly like `classify` does for short reads.
-            let sw = Stopwatch::start();
-            match self.stream.best() {
-                Some(best) => {
-                    // A read that ended *exactly* at the previous stage's
-                    // boundary already passed that stage's test in advance();
-                    // `classify` treats that stage as the last one (its
-                    // `consumed == query.len()` case), so judge against the
-                    // boundary stage, not the never-reached next stage.
-                    let stages = &self.filter.config.stages;
-                    let deciding = if self.stage > 0
-                        && self.stream.samples_processed() == stages[self.stage - 1].prefix_samples
-                    {
-                        self.stage - 1
-                    } else {
-                        self.stage
-                    };
-                    self.decision = if best.cost > stages[deciding].threshold {
-                        Decision::Reject
-                    } else {
-                        Decision::Accept
-                    };
-                    self.result = Some(best);
-                }
-                None => {
-                    self.decision = Decision::Accept;
-                    self.result = Some(SdtwResult {
-                        cost: 0.0,
-                        start_position: 0,
-                        end_position: 0,
-                        query_samples: 0,
-                    });
-                }
-            }
-            metrics().decision_ns.add(sw.elapsed_ns());
-            // Resolved at end-of-read: every received sample was needed.
-            self.decided_at = Some(self.feed.received());
-        }
-        // sf-lint: allow(panic) -- the decision latch above always stores a result first
-        let result = self.result.expect("final decision carries a result");
-        StreamClassification {
-            // sf-lint: allow(panic) -- finalize() resolved the decision on the lines above
-            verdict: self.decision.verdict().expect("decision is final"),
-            score: result.cost,
-            result: Some(result),
-            samples_consumed: self.samples_consumed(),
-            decided_early: self.decided_early,
-            target: None,
-        }
+        self.engine.budget()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::Decision;
     use sf_genome::random::random_genome;
     use sf_genome::Sequence;
     use sf_pore_model::KmerModel;

@@ -7,6 +7,7 @@
 //! registry once per chunk via a `ChunkSpan`, so the hot path stays free of clock
 //! reads and the flush itself is a handful of relaxed atomic adds.
 
+use crate::kernel::SdtwStream;
 use sf_telemetry::{
     register_counter, register_gauge, register_histogram, Counter, Gauge, Histogram, Stopwatch,
 };
@@ -38,7 +39,8 @@ pub const SDTW_STAGE_DECISION_NS: &str = "sdtw.stage.decision_ns";
 /// Counter: streaming decisions that fired before the sample budget (the
 /// paper's early ejects — sequencing time handed back to the pore).
 pub const SDTW_EARLY_REJECTS: &str = "sdtw.early_rejects";
-/// Counter: multi-stage sessions escalating to the next stage.
+/// Counter: staged sessions passing a stage boundary on to the next stage
+/// (only filters with more than one stage escalate).
 pub const SDTW_STAGE_ESCALATIONS: &str = "sdtw.stage_escalations";
 /// Counter: reads classified by [`BatchClassifier`] workers.
 ///
@@ -110,22 +112,15 @@ pub(crate) struct ChunkSpan {
 }
 
 impl ChunkSpan {
-    /// Opens a span. `rows` is the kernel's processed-sample count, `cells`
-    /// and `skipped` the stream's evaluated/band-skipped cell counts,
-    /// `estimate_ns` the feed's cumulative estimation time, and `stats`
-    /// the session's accumulators — all *before* the chunk runs.
-    pub fn begin(
-        rows: usize,
-        cells: u64,
-        skipped: u64,
-        estimate_ns: u64,
-        stats: &SessionStats,
-    ) -> Self {
+    /// Opens a span on the session's DP `stream`, its feed's cumulative
+    /// `estimate_ns` and its `stats` accumulators — all *before* the chunk
+    /// runs.
+    pub fn begin(stream: &dyn SdtwStream, estimate_ns: u64, stats: &SessionStats) -> Self {
         ChunkSpan {
             sw: Stopwatch::start(),
-            rows_before: rows,
-            cells_before: cells,
-            skipped_before: skipped,
+            rows_before: stream.samples_processed(),
+            cells_before: stream.cells_evaluated(),
+            skipped_before: stream.band_cells_skipped(),
             estimate_ns_before: estimate_ns,
             decision_ns_before: stats.decision_ns,
         }
@@ -138,20 +133,15 @@ impl ChunkSpan {
     /// normalize-estimation and decision-scan deltas are subtracted (the
     /// per-sample normalize transform is a few ops against an O(reference)
     /// DP row, so lumping it with DP skews nothing measurable).
-    pub fn finish(
-        self,
-        rows: usize,
-        cells: u64,
-        skipped: u64,
-        estimate_ns: u64,
-        stats: &SessionStats,
-    ) {
+    pub fn finish(self, stream: &dyn SdtwStream, estimate_ns: u64, stats: &SessionStats) {
         let elapsed = self.sw.elapsed_ns();
         let m = metrics();
         m.chunk_push_ns.record(elapsed);
-        m.dp_rows.add((rows - self.rows_before) as u64);
-        m.dp_cells.add(cells - self.cells_before);
-        m.band_cells_skipped.add(skipped - self.skipped_before);
+        m.dp_rows
+            .add((stream.samples_processed() - self.rows_before) as u64);
+        m.dp_cells.add(stream.cells_evaluated() - self.cells_before);
+        m.band_cells_skipped
+            .add(stream.band_cells_skipped() - self.skipped_before);
         let estimate_delta = estimate_ns - self.estimate_ns_before;
         let decision_delta = stats.decision_ns - self.decision_ns_before;
         m.decision_ns.add(decision_delta);

@@ -5,7 +5,8 @@
 
 use squigglefilter::pore_model::AdcModel;
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::FilterPrecision;
+use squigglefilter::sdtw::{FilterPrecision, Stage};
+use squigglefilter::squiggle::normalize::NormalizerConfig;
 
 /// The ideal 10-samples-per-base squiggle for a fragment.
 fn noiseless_squiggle(model: &KmerModel, fragment: &Sequence) -> RawSquiggle {
@@ -157,7 +158,8 @@ fn rolling_recalibration_stays_bit_identical_on_drifting_baselines() {
     // Rolling re-estimation fires mid-prefix (window 500, re-estimated every
     // 250 samples < prefix 2000): chunked streaming must still be
     // bit-identical to the one-shot path on the same prefix, for every chunk
-    // size and both precisions, even while the parameters drift.
+    // size, both precisions and a two-stage filter, even while the
+    // parameters drift.
     let model = KmerModel::synthetic_r94(0);
     let genome = squigglefilter::genome::random::random_genome(12, 2_500);
     let normalizer = squigglefilter::squiggle::normalize::NormalizerConfig::default()
@@ -189,6 +191,116 @@ fn rolling_recalibration_stays_bit_identical_on_drifting_baselines() {
                     got.result,
                     Some(want.result),
                     "read {r}, chunk {chunk_size}, {precision:?}"
+                );
+            }
+        }
+    }
+    // Two stages (1000, then the 2000-sample prefix) carry one DP row across
+    // the boundary. Each stage's threshold sits between a kept and a
+    // rejected read's cost at that stage's prefix (junk at stage 0,
+    // background at stage 1), so stage-0 rejects and escalations both run.
+    let reference = ReferenceSquiggle::from_genome(&model, &genome);
+    let staged = |stages: Vec<Stage>| {
+        MultiStageFilter::new(
+            &reference,
+            MultiStageConfig {
+                sdtw: SdtwConfig::hardware(),
+                stages,
+                normalizer,
+            },
+        )
+    };
+    let stage = |prefix_samples, threshold| Stage {
+        prefix_samples,
+        threshold,
+    };
+    let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
+    let midpoint = |prefix_samples, kept: &RawSquiggle, rejected: &RawSquiggle| {
+        let probe = staged(vec![stage(prefix_samples, f64::MAX)]);
+        (probe.classify(kept).result.cost + probe.classify(rejected).result.cost) / 2.0
+    };
+    let early = midpoint(1_000, &reads[0], &reads[3]);
+    let late = midpoint(2_000, &reads[0], &reads[1]);
+    let filter = staged(vec![stage(1_000, early), stage(2_000, late)]);
+    let outcomes: Vec<_> = reads.iter().map(|read| filter.classify(read)).collect();
+    assert!(outcomes
+        .iter()
+        .any(|o| o.deciding_stage == 0 && o.verdict == FilterVerdict::Reject));
+    assert!(outcomes.iter().any(|o| o.deciding_stage == 1));
+    for (r, (read, want)) in reads.iter().zip(&outcomes).enumerate() {
+        for chunk_size in [1usize, 7, 512] {
+            let mut session = filter.start_read();
+            for chunk in read.samples().chunks(chunk_size) {
+                let _ = session.push_chunk(chunk);
+            }
+            let got = session.finalize();
+            assert_eq!(
+                got.verdict, want.verdict,
+                "staged, read {r}, chunk {chunk_size}"
+            );
+            assert_eq!(
+                got.result,
+                Some(want.result),
+                "staged, read {r}, chunk {chunk_size}"
+            );
+        }
+    }
+}
+
+#[test]
+fn single_stage_filter_is_a_one_stage_staged_filter() {
+    // A single-stage filter is one stage of the staged engine: an Int8
+    // `SquiggleFilter` with early exit off and a one-stage `MultiStageFilter`
+    // at the same prefix, threshold and normalizer must agree on every field
+    // of every outcome, one-shot and streamed at every chunk size, under the
+    // default and the drifting w500/r250 normalizer.
+    let model = KmerModel::synthetic_r94(0);
+    let genome = squigglefilter::genome::random::random_genome(12, 2_500);
+    let reference = ReferenceSquiggle::from_genome(&model, &genome);
+    let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
+    let drifting = NormalizerConfig::default()
+        .with_calibration_window(500)
+        .with_recalibration_interval(250);
+    for normalizer in [NormalizerConfig::default(), drifting] {
+        let probe_config = FilterConfig {
+            normalizer,
+            ..FilterConfig::hardware(f64::MAX)
+        }
+        .with_early_exit_interval(0);
+        let probe = SquiggleFilter::new(&reference, probe_config);
+        let t = probe.score(&reads[0]).expect("target scores").cost;
+        let b = probe.score(&reads[1]).expect("background scores").cost;
+        let threshold = (t + b) / 2.0;
+        let single = SquiggleFilter::new(&reference, probe_config.with_threshold(threshold));
+        let staged = MultiStageFilter::new(
+            &reference,
+            MultiStageConfig {
+                sdtw: probe_config.sdtw,
+                stages: vec![Stage {
+                    prefix_samples: probe_config.prefix_samples,
+                    threshold,
+                }],
+                normalizer,
+            },
+        );
+        for (r, read) in reads.iter().enumerate() {
+            let (one, many) = (single.classify(read), staged.classify(read));
+            assert_eq!(one.verdict, many.verdict, "read {r}, {normalizer:?}");
+            assert_eq!(one.result, many.result, "read {r}, {normalizer:?}");
+            for chunk_size in [1usize, 7, 512] {
+                let stream = |classifier: &dyn ReadClassifier| {
+                    let mut session = classifier.start_read();
+                    for chunk in read.samples().chunks(chunk_size) {
+                        if session.push_chunk(chunk).is_final() {
+                            break;
+                        }
+                    }
+                    session.finalize()
+                };
+                assert_eq!(
+                    stream(&single),
+                    stream(&staged),
+                    "read {r}, chunk {chunk_size}, {normalizer:?}"
                 );
             }
         }
