@@ -23,9 +23,8 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use sf_sdtw::{ClassifierSession, ReadClassifier, StreamClassification};
 use sf_telemetry::Stopwatch;
@@ -103,24 +102,22 @@ pub struct SessionOutcome {
 /// Micro-batch coalescing knobs for a [`SessionScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroBatchConfig {
-    /// Dirty sessions that trigger a drain pass once staged. Larger batches
-    /// amortize dispatch further but add staging latency for the first
-    /// session staged.
+    /// Cap on how many dirty sessions one drain pass takes from arrivals
+    /// that are already queued. The scheduler never waits for a batch to
+    /// fill: it drains as soon as the ingest queue runs dry, so this only
+    /// bounds a pass under backlog, where batches fill to the cap.
     pub max_sessions: usize,
     /// Cap on coalesced samples fed to one session per drain pass; a session
     /// with more buffered signal keeps its surplus and stays dirty for the
     /// next pass, so one signal-heavy session cannot monopolize a batch.
     pub max_chunk_samples: usize,
-    /// How long a partially-filled micro-batch waits for more arrivals
-    /// before draining anyway — the scheduler's latency/occupancy trade-off.
-    pub flush_interval: Duration,
     /// Worker threads (sessions are sharded by id, each worker owns its
     /// shard). `0` means "use the machine's available parallelism".
     pub workers: usize,
 }
 
 impl MicroBatchConfig {
-    /// Sets the dirty-session drain trigger (clamped to at least 1).
+    /// Sets the per-pass dirty-session cap (clamped to at least 1).
     #[must_use]
     pub fn with_max_sessions(mut self, max_sessions: usize) -> Self {
         self.max_sessions = max_sessions.max(1);
@@ -131,13 +128,6 @@ impl MicroBatchConfig {
     #[must_use]
     pub fn with_max_chunk_samples(mut self, max_chunk_samples: usize) -> Self {
         self.max_chunk_samples = max_chunk_samples.max(1);
-        self
-    }
-
-    /// Sets the partial-batch flush interval.
-    #[must_use]
-    pub fn with_flush_interval(mut self, flush_interval: Duration) -> Self {
-        self.flush_interval = flush_interval;
         self
     }
 
@@ -153,15 +143,13 @@ impl Default for MicroBatchConfig {
     fn default() -> Self {
         MicroBatchConfig {
             // 32 sessions ≈ one MinKNOW poll's worth of active channels per
-            // worker on a loaded flow cell; enough to amortize dispatch
-            // without multi-poll staging latency.
+            // worker on a loaded flow cell: under backlog one pass amortizes
+            // dispatch over that many reads, yet returns to the ingest queue
+            // after about one poll's worth of work.
             max_sessions: 32,
             // Four 400-sample Read Until chunks: a session that fell one
             // full recalibration interval behind catches up in one pass.
             max_chunk_samples: 1_600,
-            // Half a MinKNOW poll (~0.1 s): a partial batch never adds more
-            // than half a chunk period of decision latency.
-            flush_interval: Duration::from_millis(50),
             workers: 1,
         }
     }
@@ -192,8 +180,11 @@ pub struct SchedulerReport {
 }
 
 impl SchedulerReport {
-    /// Mean sessions advanced per micro-batch (1.0 = the scheduler degraded
-    /// to read-at-a-time dispatch, no cross-read amortization).
+    /// Mean sessions advanced per micro-batch. It follows offered load:
+    /// under light load arrivals rarely queue behind each other, so batches
+    /// of 1–2 sessions are expected and lose no coalescing (a session's
+    /// queued chunks still merge into one advance); under backlog batches
+    /// fill toward `max_sessions`.
     pub fn mean_microbatch_sessions(&self) -> f64 {
         if self.micro_batches == 0 {
             return 0.0;
@@ -383,8 +374,11 @@ impl<'c> Worker<'c> {
         }
     }
 
-    /// The worker loop: block for work, top the micro-batch up until the
-    /// flush deadline or the session cap, drain, repeat until disconnect.
+    /// The work-conserving worker loop. Block for one arrival only when no
+    /// session is dirty; then stage every arrival already queued, until the
+    /// queue is empty or `max_sessions` sessions are dirty; then drain at
+    /// once. Repeat until disconnect. The worker never idles while it holds
+    /// staged signal, so a partial batch adds no decision latency.
     fn run<C: ReadClassifier>(
         mut self,
         classifier: &'c C,
@@ -401,16 +395,11 @@ impl<'c> Worker<'c> {
                     Err(_) => break,
                 }
             }
-            let deadline = Instant::now() + config.flush_interval;
             while self.dirty.len() < max_sessions {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match arrivals.recv_timeout(deadline - now) {
+                match arrivals.try_recv() {
                     Ok(arrival) => self.stage(classifier, arrival),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
                         disconnected = true;
                         break;
                     }
@@ -701,9 +690,7 @@ mod tests {
         let reads = test_reads(9);
         for chunk in [1usize, 7, 64] {
             for workers in [1usize, 3] {
-                let config = MicroBatchConfig::default()
-                    .with_workers(workers)
-                    .with_flush_interval(Duration::from_millis(1));
+                let config = MicroBatchConfig::default().with_workers(workers);
                 let (report, outcomes) =
                     run_scheduler(config, &probe, interleaved_arrivals(&reads, chunk));
                 assert_eq!(report.sessions_opened, reads.len() as u64);
@@ -730,9 +717,7 @@ mod tests {
         // One read far larger than the cap, delivered as one giant chunk.
         let mut arrivals = vec![Arrival::chunk(SessionId(0), vec![3u16; 900])];
         arrivals.push(Arrival::end(SessionId(0)));
-        let config = MicroBatchConfig::default()
-            .with_max_chunk_samples(64)
-            .with_flush_interval(Duration::from_millis(1));
+        let config = MicroBatchConfig::default().with_max_chunk_samples(64);
         let (report, outcomes) = run_scheduler(config, &probe, arrivals);
         // 900 samples at 64 per pass: the session stayed dirty across
         // ceil(900/64) = 15 passes, then one more to observe the drained
@@ -754,7 +739,8 @@ mod tests {
             arrivals.push(Arrival::chunk(id, vec![9u16; 40]));
         }
         arrivals.push(Arrival::end(id));
-        let config = MicroBatchConfig::default().with_flush_interval(Duration::ZERO);
+        // One dirty session per pass: every staged arrival drains at once.
+        let config = MicroBatchConfig::default().with_max_sessions(1);
         let (report, outcomes) = run_scheduler(config, &probe, arrivals);
         assert_eq!(report.sessions_opened, 1);
         assert_eq!(report.sessions_completed, 1);
@@ -805,13 +791,44 @@ mod tests {
         let config = MicroBatchConfig::default()
             .with_max_sessions(0)
             .with_max_chunk_samples(0)
-            .with_flush_interval(Duration::from_millis(5))
             .with_workers(2);
         assert_eq!(config.max_sessions, 1);
         assert_eq!(config.max_chunk_samples, 1);
-        assert_eq!(config.flush_interval, Duration::from_millis(5));
         assert_eq!(SessionScheduler::new(config).resolved_workers(), 2);
         assert!(SessionScheduler::new(config.with_workers(0)).resolved_workers() >= 1);
+    }
+
+    #[test]
+    fn idle_live_ingest_emits_decided_outcome() {
+        let probe = ParityProbe { budget: 10 };
+        for workers in [1usize, 3] {
+            let scheduler =
+                SessionScheduler::new(MicroBatchConfig::default().with_workers(workers));
+            let (done_tx, done_rx) = mpsc::channel();
+            let report = std::thread::scope(|scope| {
+                // The sender lives inside the scope so a failed assertion
+                // drops it while unwinding and the scheduler can return.
+                let (ingest_tx, ingest_rx) = mpsc::channel();
+                let run = scope.spawn(|| scheduler.run(&probe, ingest_rx, &done_tx));
+                // One chunk past the budget decides. The sender stays
+                // connected and idle, so only a scheduler that drains without
+                // waiting for more arrivals (or disconnect) emits the outcome.
+                ingest_tx
+                    .send(Arrival::chunk(SessionId(5), vec![1u16; 12]))
+                    .expect("scheduler alive");
+                let outcome = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|e| {
+                        panic!("workers {workers}: no outcome on live ingest: {e}")
+                    });
+                assert_eq!(outcome.id, SessionId(5));
+                assert_eq!(outcome.classification.samples_consumed, 10);
+                assert_eq!(outcome.classification.score, 10.0);
+                drop(ingest_tx);
+                run.join().expect("scheduler thread")
+            });
+            assert_eq!(report.sessions_completed, 1);
+        }
     }
 
     #[test]
