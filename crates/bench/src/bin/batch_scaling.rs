@@ -32,7 +32,7 @@ use sf_sdtw::{
     calibrate_threshold, BatchClassifier, BatchConfig, FilterConfig, KernelBackend,
     MultiStageConfig, MultiStageFilter, ReadClassifier, SdtwConfig, Stage, StreamClassification,
 };
-use sf_shard::{pan_viral_panel, panel_classifier, panel_prefilter, PanelConfig, PrefilterConfig};
+use sf_shard::{pan_viral_panel, panel_classifier, PanelConfig};
 use sf_sim::flowcell::{FlowCellConfig, FlowCellSimulator, ReadUntilPolicy};
 use sf_sim::read::{ReadOrigin, ReadSimulator, ReadSimulatorConfig};
 use sf_sim::squiggle_sim::{SquiggleSimulator, SquiggleSimulatorConfig};
@@ -179,40 +179,19 @@ struct ShardPoint {
     cells_per_s: f64,
 }
 
-/// The prefilter-on pass over the full catalog: throughput plus the pruning
-/// telemetry that quantifies the sDTW work the minimizer seeding saved.
-struct ShardPrefilterPoint {
-    shards: usize,
-    seconds: f64,
-    reads_per_s: f64,
-    dp_cells: u64,
-    /// `shard.prefilter_evals` delta (0 with telemetry disabled).
-    evals: u64,
-    /// `shard.prefilter_pruned` delta (0 with telemetry disabled).
-    pruned: u64,
-    /// `shard.prefilter_fail_open` delta (0 with telemetry disabled).
-    fail_open: u64,
-    /// `pruned / (reads * shards)` — the fraction of per-read shard work
-    /// skipped before any sDTW ran (0 with telemetry disabled).
-    prune_rate: f64,
-}
-
 /// The `sharding` section: a pan-viral panel (4 catalog viruses + 5 Table 2
-/// strains of the first) classified by sharded catalogs of growing width,
-/// then once more with the minimizer prefilter pruning shards per read.
+/// strains of the first) classified by sharded catalogs of growing width.
 struct ShardingSection {
     targets: usize,
     genome_bp: usize,
     reads: usize,
     sweep: Vec<ShardPoint>,
-    prefilter: ShardPrefilterPoint,
 }
 
 /// Runs the sharded-catalog sweep. Thresholds are pinned at `f64::MAX` so
-/// every read pays the full prefix against every live shard — that makes
-/// `dp_cells` scale exactly with catalog width and turns the prefilter pass
-/// into a direct measurement of pruned work (verdict-level accuracy of the
-/// sharded path is pinned by `tests/panel_accuracy.rs`, not re-measured
+/// every read pays the full prefix against every shard — that makes
+/// `dp_cells` scale exactly with catalog width (verdict-level accuracy of
+/// the sharded path is pinned by `tests/panel_accuracy.rs`, not re-measured
 /// here).
 fn run_sharding(model: &KmerModel, quick: bool) -> ShardingSection {
     let panel_config = PanelConfig {
@@ -270,38 +249,11 @@ fn run_sharding(model: &KmerModel, quick: bool) -> ShardingSection {
         });
     }
 
-    // Prefilter-on pass over the full catalog, with the preset tuned for the
-    // HMM basecaller's error rate on noisy signal.
-    let catalog = panel_classifier(model, &panel, filter_config).with_prefilter(panel_prefilter(
-        model.clone(),
-        &panel,
-        PrefilterConfig::noisy(),
-    ));
-    let tel_before = sf_telemetry::snapshot();
-    let start = Instant::now();
-    for read in &reads {
-        let _ = catalog.classify_stream(read);
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let after = sf_telemetry::snapshot();
-    let pruned = after.counter_delta(&tel_before, sf_shard::telemetry::SHARD_PREFILTER_PRUNED);
-    let prefilter = ShardPrefilterPoint {
-        shards: panel.len(),
-        seconds,
-        reads_per_s: reads.len() as f64 / seconds,
-        dp_cells: after.counter_delta(&tel_before, sf_sdtw::telemetry::SDTW_DP_CELLS),
-        evals: after.counter_delta(&tel_before, sf_shard::telemetry::SHARD_PREFILTER_EVALS),
-        pruned,
-        fail_open: after.counter_delta(&tel_before, sf_shard::telemetry::SHARD_PREFILTER_FAIL_OPEN),
-        prune_rate: pruned as f64 / (reads.len() * panel.len()) as f64,
-    };
-
     ShardingSection {
         targets: panel.len(),
         genome_bp: panel_config.genome_length,
         reads: reads.len(),
         sweep,
-        prefilter,
     }
 }
 
@@ -607,7 +559,7 @@ fn main() {
     );
 
     // The sharded pan-viral catalog sweep: reads/s and DP cells as the
-    // catalog widens, plus the prefilter-on pass.
+    // catalog widens.
     let sharding = run_sharding(&model, quick);
     println!();
     println!(
@@ -620,17 +572,6 @@ fn main() {
             p.shards, p.seconds, p.reads_per_s, p.dp_cells
         );
     }
-    println!(
-        "  prefilter ({} shards): {:>8.3} s, {:>10.2} reads/s, prune rate {:.1}% \
-         ({} pruned / {} evals, {} fail-open)",
-        sharding.prefilter.shards,
-        sharding.prefilter.seconds,
-        sharding.prefilter.reads_per_s,
-        sharding.prefilter.prune_rate * 100.0,
-        sharding.prefilter.pruned,
-        sharding.prefilter.evals,
-        sharding.prefilter.fail_open,
-    );
 
     // A small oracle-policy flow-cell run so the `flowcell.*` counters in the
     // telemetry section reflect a live simulation, closing the kernel-to-flow-
@@ -842,8 +783,8 @@ fn render_json(
     );
     let _ = writeln!(json, "  }},");
     // The sharded pan-viral catalog sweep (docs/benchmarks.md, "Reference
-    // sharding"). Telemetry-derived fields (dp_cells, evals, pruned,
-    // fail_open, prune_rate) are 0 with telemetry compiled out.
+    // sharding"). The telemetry-derived dp_cells/cells_per_s are 0 with
+    // telemetry compiled out.
     let _ = writeln!(json, "  \"sharding\": {{");
     let _ = writeln!(json, "    \"targets\": {},", sharding.targets);
     let _ = writeln!(json, "    \"genome_bp\": {},", sharding.genome_bp);
@@ -862,18 +803,7 @@ fn render_json(
             p.shards, p.seconds, p.reads_per_s, p.dp_cells, p.cells_per_s,
         );
     }
-    let _ = writeln!(json, "    ],");
-    let pf = &sharding.prefilter;
-    let _ = writeln!(json, "    \"prefilter\": {{");
-    let _ = writeln!(json, "      \"shards\": {},", pf.shards);
-    let _ = writeln!(json, "      \"seconds\": {:.6},", pf.seconds);
-    let _ = writeln!(json, "      \"reads_per_s\": {:.3},", pf.reads_per_s);
-    let _ = writeln!(json, "      \"dp_cells\": {},", pf.dp_cells);
-    let _ = writeln!(json, "      \"evals\": {},", pf.evals);
-    let _ = writeln!(json, "      \"pruned\": {},", pf.pruned);
-    let _ = writeln!(json, "      \"fail_open\": {},", pf.fail_open);
-    let _ = writeln!(json, "      \"prune_rate\": {:.4}", pf.prune_rate);
-    let _ = writeln!(json, "    }}");
+    let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }},");
     render_telemetry(&mut json, telemetry, points);
     let _ = writeln!(json, "  \"samples_to_decision\": {{");

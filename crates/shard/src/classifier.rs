@@ -13,14 +13,14 @@
 //! The merge treats [`StreamClassification::score`] as a *cost* (lower is
 //! better — the sDTW filters' convention):
 //!
-//! * The merged **verdict** is Accept iff any live shard accepted. Reject
+//! * The merged **verdict** is Accept iff any shard accepted. Reject
 //!   means the read matched *no* target — exactly the depletion semantics a
 //!   pan-target panel wants.
 //! * The **winner** is the lowest-cost shard among the accepting shards (or
-//!   among all live shards when everything rejected), ties broken by the
+//!   among all shards when everything rejected), ties broken by the
 //!   smaller [`TargetId`]. The merged classification is the winner's, with
 //!   [`StreamClassification::target`] stamped.
-//! * The merged **samples_consumed** is the maximum over live shards: the
+//! * The merged **samples_consumed** is the maximum over the shards: the
 //!   read can only be ejected once every shard has had its say, so that is
 //!   what the decision cost in sequencing time.
 //!
@@ -33,7 +33,6 @@
 //! * streaming ≡ one-shot at every chunk size, and sharded sessions behave
 //!   identically under the `sf-sched` micro-batched scheduler.
 
-use crate::prefilter::MinimizerPrefilter;
 use crate::telemetry::metrics;
 use sf_sdtw::{ClassifierSession, Decision, ReadClassifier, StreamClassification, TargetId};
 
@@ -83,12 +82,12 @@ impl<C> Shard<C> {
 /// let outcome = sharded.classify_stream(&RawSquiggle::new(vec![500u16; 2_500], 4_000.0));
 /// let winner = outcome.target.expect("sharded outcomes carry a target");
 /// assert!(winner.index() < 3);
-/// assert!(sharded.target_name(winner).starts_with("virus-"));
+/// assert!(sharded.target_name(winner).is_some_and(|name| name.starts_with("virus-")));
+/// assert_eq!(sharded.target_name(TargetId(3)), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedClassifier<C> {
     shards: Vec<Shard<C>>,
-    prefilter: Option<MinimizerPrefilter>,
 }
 
 impl<C> ShardedClassifier<C> {
@@ -103,23 +102,7 @@ impl<C> ShardedClassifier<C> {
             .map(|(name, classifier)| Shard { name, classifier })
             .collect();
         assert!(!shards.is_empty(), "a catalog needs at least one target");
-        ShardedClassifier {
-            shards,
-            prefilter: None,
-        }
-    }
-
-    /// Attaches a minimizer-seeding prefilter (built over the same
-    /// references, in the same order) that prunes shards before sDTW runs.
-    #[must_use]
-    pub fn with_prefilter(mut self, prefilter: MinimizerPrefilter) -> Self {
-        assert_eq!(
-            prefilter.target_count(),
-            self.shards.len(),
-            "prefilter must index exactly the catalog references"
-        );
-        self.prefilter = Some(prefilter);
-        self
+        ShardedClassifier { shards }
     }
 
     /// Number of target references in the catalog.
@@ -132,14 +115,12 @@ impl<C> ShardedClassifier<C> {
         &self.shards
     }
 
-    /// The display name of a target.
-    pub fn target_name(&self, target: TargetId) -> &str {
-        &self.shards[target.index()].name
-    }
-
-    /// The attached prefilter, if any.
-    pub fn prefilter(&self) -> Option<&MinimizerPrefilter> {
-        self.prefilter.as_ref()
+    /// The display name of a target, or `None` for an id outside this
+    /// catalog.
+    pub fn target_name(&self, target: TargetId) -> Option<&str> {
+        self.shards
+            .get(target.index())
+            .map(|shard| shard.name.as_str())
     }
 }
 
@@ -155,14 +136,8 @@ impl<C: ReadClassifier> ShardedClassifier<C> {
                 .map(|shard| ShardSlot {
                     session: shard.classifier.start_read(),
                     outcome: None,
-                    pruned: false,
                 })
                 .collect(),
-            gate: self.prefilter.as_ref().map(|prefilter| PrefilterGate {
-                prefilter,
-                buffer: Vec::new(),
-                resolved: false,
-            }),
             decision: Decision::Wait,
             merged: None,
         }
@@ -175,19 +150,11 @@ impl<C: ReadClassifier> ReadClassifier for ShardedClassifier<C> {
     }
 
     fn max_decision_samples(&self) -> usize {
-        let widest = self
-            .shards
+        self.shards
             .iter()
             .map(|shard| shard.classifier.max_decision_samples())
             .max()
-            .unwrap_or(0);
-        // With a prefilter, buffered samples replay into the survivors at
-        // the gate, so the merged decision can fire no later than the
-        // slower of the gate and the widest shard.
-        match &self.prefilter {
-            Some(prefilter) => widest.max(prefilter.config().decision_samples),
-            None => widest,
-        }
+            .unwrap_or(0)
     }
 }
 
@@ -225,21 +192,12 @@ pub fn merge_outcomes(outcomes: &[(TargetId, StreamClassification)]) -> StreamCl
     }
 }
 
-/// Prefilter state while a session buffers its gate prefix.
-struct PrefilterGate<'a> {
-    prefilter: &'a MinimizerPrefilter,
-    buffer: Vec<u16>,
-    resolved: bool,
-}
-
 /// One shard's in-flight state inside a [`ShardedSession`].
 struct ShardSlot<'a> {
     session: Box<dyn ClassifierSession + 'a>,
     /// Latched the moment the shard's decision turns final (the session is
     /// finalized then and never pushed again).
     outcome: Option<StreamClassification>,
-    /// Pruned by the prefilter: never fed, excluded from the merge.
-    pruned: bool,
 }
 
 impl ShardSlot<'_> {
@@ -257,14 +215,10 @@ impl ShardSlot<'_> {
 
 /// An in-progress sharded classification of one read.
 ///
-/// Without a prefilter, every chunk is forwarded to every shard whose
-/// decision is still open; the merged decision turns final once *all* live
-/// shards are final. With a prefilter, raw samples are buffered until the
-/// gate's `decision_samples` fill, the surviving shards are chosen, and the
-/// buffer replays into them — pruned shards never see a sample.
+/// Every chunk is forwarded to every shard whose decision is still open;
+/// the merged decision turns final once *all* shards are final.
 pub struct ShardedSession<'a> {
     shards: Vec<ShardSlot<'a>>,
-    gate: Option<PrefilterGate<'a>>,
     decision: Decision,
     merged: Option<StreamClassification>,
 }
@@ -280,77 +234,17 @@ impl std::fmt::Debug for ShardedSession<'_> {
 }
 
 impl ShardedSession<'_> {
-    /// Number of shards pruned by the prefilter for this read (0 until the
-    /// gate resolves, and always 0 without a prefilter).
-    pub fn pruned_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.pruned).count()
-    }
-
-    /// Number of shards still participating in the merge.
-    pub fn live_shards(&self) -> usize {
-        self.shards.len() - self.pruned_shards()
-    }
-
-    /// Resolves the prefilter gate (judging whatever is buffered) and
-    /// replays the buffer into the surviving shards.
-    fn resolve_gate(&mut self) {
-        let Some(gate) = self.gate.as_mut() else {
-            return;
-        };
-        if gate.resolved {
-            return;
-        }
-        gate.resolved = true;
-        let outcome = gate.prefilter.evaluate(&gate.buffer);
-        for (slot, &keep) in self.shards.iter_mut().zip(&outcome.keep) {
-            slot.pruned = !keep;
-        }
-        let buffer = std::mem::take(&mut gate.buffer);
-        self.feed_live(&buffer);
-    }
-
-    /// Forwards samples to every live, still-open shard, latching outcomes
-    /// as decisions turn final.
-    fn feed_live(&mut self, samples: &[u16]) {
-        for slot in &mut self.shards {
-            if slot.pruned || slot.is_final() {
-                continue;
-            }
-            if slot.session.push_chunk(samples).is_final() {
-                slot.outcome = Some(slot.session.finalize());
-            }
-        }
-        self.try_merge();
-    }
-
-    /// Latches the merged classification once every live shard is final.
-    fn try_merge(&mut self) {
-        if self.merged.is_some() {
-            return;
-        }
-        if self
-            .shards
-            .iter()
-            .any(|slot| !slot.pruned && !slot.is_final())
-        {
-            return;
-        }
-        self.latch_merge();
-    }
-
-    /// Merges whatever the live shards have latched (all of them must be
-    /// final when this is called).
+    /// Latches the merged classification. Every shard must be final.
     fn latch_merge(&mut self) {
         let outcomes: Vec<(TargetId, StreamClassification)> = self
             .shards
             .iter()
             .enumerate()
-            .filter(|(_, slot)| !slot.pruned)
             .map(|(i, slot)| {
                 (
                     TargetId(i as u32),
-                    // sf-lint: allow(panic) -- callers finalize every live shard first
-                    slot.outcome.expect("live shard is final"),
+                    // sf-lint: allow(panic) -- callers finalize every shard first
+                    slot.outcome.expect("shard is final"),
                 )
             })
             .collect();
@@ -366,16 +260,14 @@ impl ClassifierSession for ShardedSession<'_> {
         if self.decision.is_final() {
             return self.decision;
         }
-        if let Some(gate) = self.gate.as_mut() {
-            if !gate.resolved {
-                gate.buffer.extend_from_slice(chunk);
-                if gate.buffer.len() >= gate.prefilter.config().decision_samples {
-                    self.resolve_gate();
-                }
-                return self.decision;
+        for slot in &mut self.shards {
+            if !slot.is_final() && slot.session.push_chunk(chunk).is_final() {
+                slot.outcome = Some(slot.session.finalize());
             }
         }
-        self.feed_live(chunk);
+        if self.shards.iter().all(ShardSlot::is_final) {
+            self.latch_merge();
+        }
         self.decision
     }
 
@@ -387,15 +279,9 @@ impl ClassifierSession for ShardedSession<'_> {
         if let Some(merged) = &self.merged {
             return merged.samples_consumed;
         }
-        if let Some(gate) = &self.gate {
-            if !gate.resolved {
-                return gate.buffer.len();
-            }
-        }
         self.shards
             .iter()
-            .filter(|slot| !slot.pruned)
-            .map(|slot| slot.samples_consumed())
+            .map(ShardSlot::samples_consumed)
             .max()
             .unwrap_or(0)
     }
@@ -404,12 +290,8 @@ impl ClassifierSession for ShardedSession<'_> {
         if let Some(merged) = self.merged {
             return merged;
         }
-        // A read that ended inside the gate window: judge what there is
-        // (evaluate fails open on a prefix too short to basecall) and give
-        // the survivors the buffered signal before resolving them.
-        self.resolve_gate();
         for slot in &mut self.shards {
-            if !slot.pruned && !slot.is_final() {
+            if !slot.is_final() {
                 slot.outcome = Some(slot.session.finalize());
             }
         }
@@ -452,8 +334,74 @@ mod tests {
             assert_eq!(outcome.target, Some(TargetId(i as u32)), "read {i}");
             assert_eq!(
                 sharded.target_name(TargetId(i as u32)),
-                format!("target-{i}")
+                Some(format!("target-{i}").as_str())
             );
+        }
+    }
+
+    #[test]
+    fn target_name_is_none_outside_the_catalog() {
+        let model = KmerModel::synthetic_r94(0);
+        let genomes: Vec<Sequence> = (0..2).map(|i| random_genome(40 + i, 1_000)).collect();
+        let sharded = catalog(&model, &genomes);
+        assert_eq!(sharded.target_name(TargetId(1)), Some("target-1"));
+        assert_eq!(sharded.target_name(TargetId(2)), None);
+        assert_eq!(sharded.target_name(TargetId(u32::MAX)), None);
+    }
+
+    #[test]
+    fn merged_decision_fires_exactly_when_every_shard_is_final() {
+        // Shards decide at different prefixes, so the merged decision must
+        // wait for the slowest one; a read shorter than the widest prefix
+        // must stay open until finalize.
+        let model = KmerModel::synthetic_r94(0);
+        let genomes: Vec<Sequence> = (0..3).map(|i| random_genome(50 + i, 2_000)).collect();
+        let prefixes = [600, 1_000, 1_600];
+        let sharded = ShardedClassifier::new(genomes.iter().zip(prefixes).enumerate().map(
+            |(i, (genome, prefix_samples))| {
+                let config = FilterConfig {
+                    prefix_samples,
+                    ..FilterConfig::hardware(f64::MAX)
+                };
+                (
+                    format!("target-{i}"),
+                    SquiggleFilter::from_genome(&model, genome, config),
+                )
+            },
+        ));
+        let reads = [
+            noiseless_squiggle(&model, &genomes[1].subsequence(200, 500)),
+            noiseless_squiggle(&model, &genomes[0].subsequence(100, 220)),
+        ];
+        for (r, read) in reads.iter().enumerate() {
+            for chunk_size in [1usize, 400] {
+                let mut merged = sharded.session();
+                let mut singles: Vec<_> = sharded
+                    .shards()
+                    .iter()
+                    .map(|shard| shard.classifier().start_read())
+                    .collect();
+                let mut saw_partial = false;
+                for (c, chunk) in read.samples().chunks(chunk_size).enumerate() {
+                    let decision = merged.push_chunk(chunk);
+                    for single in &mut singles {
+                        if !single.decision().is_final() {
+                            let _ = single.push_chunk(chunk);
+                        }
+                    }
+                    let finals = singles.iter().filter(|s| s.decision().is_final()).count();
+                    let all_final = finals == singles.len();
+                    saw_partial |= finals > 0 && !all_final;
+                    let widest = singles.iter().map(|s| s.samples_consumed()).max();
+                    let at = format!("read {r}, chunk size {chunk_size}, chunk {c}");
+                    assert_eq!(decision, merged.decision(), "{at}");
+                    assert_eq!(decision.is_final(), all_final, "{at}");
+                    assert_eq!(Some(merged.samples_consumed()), widest, "{at}");
+                }
+                // The shards' prefixes differ, so some chunk must leave the
+                // catalog split between decided and open shards.
+                assert!(saw_partial, "read {r}, chunk size {chunk_size}");
+            }
         }
     }
 

@@ -11,10 +11,6 @@
 //!   [`sf_sdtw::StreamClassification`] carrying the winning
 //!   [`sf_sdtw::TargetId`]. A 1-shard catalog is bit-identical to the
 //!   single-reference path, and the merge is order-invariant.
-//! * [`prefilter`] — the optional [`MinimizerPrefilter`]: basecall a short
-//!   prefix, count minimizer anchors per reference, and prune shards that
-//!   cannot map before any sDTW runs. Approximate by design, fail-open by
-//!   design; pruning is reported via `shard.*` telemetry.
 //! * [`panel`] — pan-viral panel workloads built from `sf-genome`'s virus
 //!   catalog and Table 2 strain machinery (≥ 8 targets including
 //!   near-identical strains), used by `tests/panel_accuracy.rs` and the
@@ -25,11 +21,7 @@
 
 pub mod classifier;
 pub mod panel;
-pub mod prefilter;
 pub mod telemetry;
 
 pub use classifier::{merge_outcomes, Shard, ShardedClassifier, ShardedSession};
-pub use panel::{
-    pan_viral_panel, panel_classifier, panel_prefilter, target_group, PanelConfig, PanelTarget,
-};
-pub use prefilter::{MinimizerPrefilter, PrefilterConfig, PrefilterOutcome};
+pub use panel::{pan_viral_panel, panel_classifier, target_group, PanelConfig, PanelTarget};

@@ -10,7 +10,6 @@
 //! accuracy is pinned at group level in `tests/panel_accuracy.rs`.
 
 use crate::classifier::ShardedClassifier;
-use crate::prefilter::{MinimizerPrefilter, PrefilterConfig};
 use sf_genome::catalog::epidemic_viruses;
 use sf_genome::random::GenomeGenerator;
 use sf_genome::strain::simulate_table2_strains;
@@ -132,20 +131,12 @@ pub fn panel_classifier(
     }))
 }
 
-/// Builds a [`MinimizerPrefilter`] over the panel's references, in catalog
-/// order (attachable to the classifier from [`panel_classifier`]).
-pub fn panel_prefilter(
-    model: KmerModel,
-    panel: &[PanelTarget],
-    config: PrefilterConfig,
-) -> MinimizerPrefilter {
-    MinimizerPrefilter::new(model, panel.iter().map(|target| &target.genome), config)
-}
-
 /// The attribution group of a winning target, for group-level accuracy
-/// scoring.
-pub fn target_group(panel: &[PanelTarget], target: TargetId) -> &str {
-    &panel[target.index()].group
+/// scoring, or `None` for an id outside the panel.
+pub fn target_group(panel: &[PanelTarget], target: TargetId) -> Option<&str> {
+    panel
+        .get(target.index())
+        .map(|target| target.group.as_str())
 }
 
 #[cfg(test)]
@@ -170,6 +161,22 @@ mod tests {
         // Strains are near-identical to their base, not to other viruses.
         assert!(a[3].genome.mismatches(&a[0].genome) <= 23);
         assert!(a[3].genome.mismatches(&a[1].genome) > 100);
+    }
+
+    #[test]
+    fn target_group_is_none_outside_the_panel() {
+        let config = PanelConfig {
+            genome_length: 500,
+            viruses: 2,
+            strains: 1,
+            seed: 4,
+        };
+        let panel = pan_viral_panel(&config);
+        assert_eq!(
+            target_group(&panel, TargetId(2)),
+            Some(panel[0].group.as_str())
+        );
+        assert_eq!(target_group(&panel, TargetId(3)), None);
     }
 
     #[test]

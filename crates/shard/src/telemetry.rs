@@ -1,10 +1,9 @@
 //! Metric names (and private handles) for the sharded classifier.
 //!
 //! Naming follows `docs/observability.md`: `shard.*` covers the multi-target
-//! fan-out and the minimizer prefilter. All metrics here are counters flushed
-//! at session granularity (session open, prefilter resolution, merge) — the
-//! per-sample work happens inside the per-shard sessions, which carry their
-//! own `sdtw.*` instrumentation.
+//! fan-out. All metrics here are counters flushed at session granularity
+//! (session open, merge) — the per-sample work happens inside the per-shard
+//! sessions, which carry their own `sdtw.*` instrumentation.
 
 use sf_telemetry::{register_counter, Counter};
 use std::sync::OnceLock;
@@ -14,23 +13,10 @@ pub const SHARD_READS: &str = "shard.reads";
 /// Counter: per-target sessions opened by the fan-out (one per shard per
 /// read; `fanout_sessions / reads` is the mean catalog width).
 pub const SHARD_FANOUT_SESSIONS: &str = "shard.fanout_sessions";
-/// Counter: minimizer prefilter evaluations (one per read when the
-/// prefilter is attached).
-pub const SHARD_PREFILTER_EVALS: &str = "shard.prefilter_evals";
-/// Counter: shards pruned by the prefilter before any sDTW work
-/// (`prefilter_pruned / prefilter_evals` is the mean shards pruned per read).
-pub const SHARD_PREFILTER_PRUNED: &str = "shard.prefilter_pruned";
-/// Counter: prefilter evaluations that kept every shard because the
-/// basecalled prefix was too short or no shard cleared the anchor bar —
-/// the fail-open path that keeps the prefilter verdict-safe for depletion.
-pub const SHARD_PREFILTER_FAIL_OPEN: &str = "shard.prefilter_fail_open";
 
 pub(crate) struct Metrics {
     pub reads: &'static Counter,
     pub fanout_sessions: &'static Counter,
-    pub prefilter_evals: &'static Counter,
-    pub prefilter_pruned: &'static Counter,
-    pub prefilter_fail_open: &'static Counter,
 }
 
 /// The crate's registered metric handles (registered once, then lock-free).
@@ -39,8 +25,5 @@ pub(crate) fn metrics() -> &'static Metrics {
     METRICS.get_or_init(|| Metrics {
         reads: register_counter(SHARD_READS),
         fanout_sessions: register_counter(SHARD_FANOUT_SESSIONS),
-        prefilter_evals: register_counter(SHARD_PREFILTER_EVALS),
-        prefilter_pruned: register_counter(SHARD_PREFILTER_PRUNED),
-        prefilter_fail_open: register_counter(SHARD_PREFILTER_FAIL_OPEN),
     })
 }

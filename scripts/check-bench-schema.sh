@@ -125,16 +125,15 @@ for path, run, needs_hist in ((enabled_path, enabled, True),
         broken(f"{path}: scheduler.chunk_queue_wait_ns.count is not positive")
 
 # 1d. The sharded pan-viral catalog section: present in both modes, with a
-# >= 8-target panel, the full shard-count sweep and the prefilter pass.
-# Telemetry-derived fields (dp_cells, evals, pruned, fail_open, prune_rate)
-# must be positive only where telemetry can record them.
+# >= 8-target panel and the full shard-count sweep. The telemetry-derived
+# dp_cells must be positive only where telemetry can record it.
 for path, run, has_tel in ((enabled_path, enabled, True),
                            (disabled_path, disabled, False)):
     sharding = run.get("sharding")
     if not isinstance(sharding, dict):
         broken(f"{path}: no sharding section")
         continue
-    for key in ("targets", "genome_bp", "reads", "sweep", "prefilter"):
+    for key in ("targets", "genome_bp", "reads", "sweep"):
         if key not in sharding:
             broken(f"{path}: sharding.{key} missing")
     if sharding.get("targets", 0) < 8:
@@ -156,16 +155,6 @@ for path, run, has_tel in ((enabled_path, enabled, True),
         if not has_tel and p.get("dp_cells", 0) != 0:
             broken(f"{path}: sharding.sweep[{p.get('shards')}].dp_cells != 0 "
                    "with telemetry compiled out")
-    pf = sharding.get("prefilter", {})
-    for key in ("shards", "seconds", "reads_per_s", "dp_cells", "evals",
-                "pruned", "fail_open", "prune_rate"):
-        if key not in pf:
-            broken(f"{path}: sharding.prefilter.{key} missing")
-    if has_tel and pf.get("evals", 0) <= 0:
-        broken(f"{path}: sharding.prefilter.evals is not positive")
-    if not has_tel and pf.get("evals", 0) != 0:
-        broken(f"{path}: sharding.prefilter.evals != 0 with telemetry "
-               "compiled out")
 
 # 2. The disabled build really is disabled.
 if disabled.get("telemetry", {}).get("enabled") is not False:

@@ -94,8 +94,8 @@ pub mod prelude {
         TargetId,
     };
     pub use sf_shard::{
-        pan_viral_panel, panel_classifier, panel_prefilter, MinimizerPrefilter, PanelConfig,
-        PanelTarget, PrefilterConfig, ShardedClassifier, ShardedSession,
+        pan_viral_panel, panel_classifier, PanelConfig, PanelTarget, ShardedClassifier,
+        ShardedSession,
     };
     pub use sf_sim::{
         ArrivalTrace, ClassifierPolicy, DatasetBuilder, FlowCellConfig, FlowCellSimulator,

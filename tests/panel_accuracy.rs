@@ -1,7 +1,6 @@
 //! Pan-viral panel accuracy: an 8-target catalog (4 distinct viruses + 4
 //! near-identical strains of the first) must attribute target reads to the
-//! right *group*, reject background reads everywhere, and never lose an
-//! accept to the minimizer prefilter on this fixture.
+//! right *group* and reject background reads everywhere.
 //!
 //! Strain-level attribution is deliberately not pinned: Table 2 strains
 //! differ by ≤ 23 SNPs over the whole genome, so a sub-kilobase read window
@@ -20,7 +19,6 @@
 //! is pinned at 2/3 rather than 100%.
 
 use squigglefilter::genome::random::human_like_background;
-use squigglefilter::pore_model::AdcModel;
 use squigglefilter::prelude::*;
 use squigglefilter::shard::target_group;
 use squigglefilter::sim::read::{ReadOrigin, ReadSimulator, ReadSimulatorConfig};
@@ -77,28 +75,6 @@ fn panel_reads(
     (targets, background)
 }
 
-/// One ideal (exactly 10 samples per base, zero noise) read per target from
-/// a fixed window. The HMM basecaller is near-perfect on these, which is
-/// what the prefilter tests need: default 13-mer seeding is decisive on
-/// ideal signal and fails open on realistic signal, so these reads are the
-/// ones that actually exercise pruning.
-fn ideal_reads(model: &KmerModel, panel: &[PanelTarget]) -> Vec<(usize, RawSquiggle)> {
-    panel
-        .iter()
-        .enumerate()
-        .map(|(i, target)| {
-            (
-                i,
-                model.expected_raw_squiggle(
-                    &target.genome.subsequence(200, 900),
-                    10,
-                    &AdcModel::default(),
-                ),
-            )
-        })
-        .collect()
-}
-
 /// A catalog with *per-shard* thresholds, each pinned just below the
 /// cheapest cost any fixture background read achieves against that shard —
 /// so every background read rejects on every shard by construction, and
@@ -149,7 +125,7 @@ fn target_reads_attribute_to_their_group_and_background_rejects() {
             continue;
         }
         let winner = outcome.target.expect("sharded outcomes carry a target");
-        if target_group(&panel, winner) == panel[*i].group {
+        if target_group(&panel, winner) == Some(panel[*i].group.as_str()) {
             correct += 1;
         }
     }
@@ -169,70 +145,4 @@ fn target_reads_attribute_to_their_group_and_background_rejects() {
             "background read {i} must reject against every shard"
         );
     }
-}
-
-#[test]
-fn prefilter_never_flips_an_accept_into_a_reject() {
-    let (model, panel) = panel_fixture();
-    let unfiltered = calibrated_catalog(&model, &panel);
-    let prefiltered = calibrated_catalog(&model, &panel).with_prefilter(panel_prefilter(
-        model.clone(),
-        &panel,
-        PrefilterConfig::default(),
-    ));
-    let (mut reads, background) = panel_reads(&model, &panel);
-    reads.extend(ideal_reads(&model, &panel));
-
-    for (i, read) in &reads {
-        let without = unfiltered.classify_stream(read);
-        let with = prefiltered.classify_stream(read);
-        if without.verdict.is_accept() {
-            assert!(
-                with.verdict.is_accept(),
-                "prefilter flipped target read {i} ({}) to reject",
-                panel[*i].name
-            );
-            // Group attribution survives pruning too.
-            assert_eq!(
-                target_group(&panel, with.target.expect("stamped")),
-                target_group(&panel, without.target.expect("stamped")),
-                "read {i}"
-            );
-        }
-    }
-    // Depletion semantics survive: background still rejects everywhere.
-    for read in &background {
-        assert!(!prefiltered.classify_stream(read).verdict.is_accept());
-    }
-}
-
-#[test]
-fn prefilter_actually_prunes_on_distinct_virus_reads() {
-    // The flip test above would pass vacuously if the prefilter never
-    // pruned; pin that reads from a distinct virus drop at least the
-    // unrelated references (group shards may all survive, being
-    // near-identical).
-    let (model, panel) = panel_fixture();
-    let catalog = calibrated_catalog(&model, &panel).with_prefilter(panel_prefilter(
-        model.clone(),
-        &panel,
-        PrefilterConfig::default(),
-    ));
-    let reads = ideal_reads(&model, &panel);
-
-    let mut pruned_total = 0usize;
-    for (_, read) in &reads {
-        let mut session = catalog.session();
-        for chunk in read.samples().chunks(512) {
-            if session.push_chunk(chunk).is_final() {
-                break;
-            }
-        }
-        pruned_total += session.pruned_shards();
-        let _ = session.finalize();
-    }
-    assert!(
-        pruned_total > 0,
-        "the prefilter never pruned a shard on 8 ideal on-target reads"
-    );
 }

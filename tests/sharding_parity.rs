@@ -224,8 +224,12 @@ fn catalog_order_changes_neither_verdict_nor_winning_name() {
         let b = backward.classify_stream(read);
         assert_eq!(a.verdict, b.verdict, "read {r}");
         assert_eq!(a.score, b.score, "read {r}");
-        let name_a = forward.target_name(a.target.expect("stamped"));
-        let name_b = backward.target_name(b.target.expect("stamped"));
+        let name_a = forward
+            .target_name(a.target.expect("stamped"))
+            .expect("in catalog");
+        let name_b = backward
+            .target_name(b.target.expect("stamped"))
+            .expect("in catalog");
         assert_eq!(name_a, name_b, "read {r}");
     }
 }
@@ -342,31 +346,6 @@ fn sharded_sessions_under_the_scheduler_match_the_sequential_drive() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn prefiltered_streaming_is_chunk_invariant() {
-    // The prefilter is approximate at the verdict level, but the gate
-    // resolves at a fixed sample count: any chunking of the same read must
-    // still produce the identical merged classification.
-    let model = KmerModel::synthetic_r94(0);
-    let genomes = reference_set(4);
-    let config = calibrated_config(&model, &genomes[0], FilterPrecision::Int8);
-    let prefilter =
-        MinimizerPrefilter::new(model.clone(), genomes.iter(), PrefilterConfig::default());
-    let catalog = sharded(&model, &genomes, config).with_prefilter(prefilter);
-    for (r, read) in test_reads(&model, &genomes[0]).iter().enumerate() {
-        let want = catalog.classify_stream(read);
-        for chunk_size in [1usize, 7, 512] {
-            let mut session = catalog.session();
-            for chunk in read.samples().chunks(chunk_size) {
-                if session.push_chunk(chunk).is_final() {
-                    break;
-                }
-            }
-            assert_eq!(session.finalize(), want, "read {r}, chunk {chunk_size}");
         }
     }
 }
