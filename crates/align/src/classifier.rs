@@ -7,7 +7,7 @@
 //! mapping is found and ejected when enough signal has been examined without
 //! one. [`MapperClassifier`] reproduces that loop with the workspace's HMM
 //! basecaller and minimizer mapper, speaking the exact interface the sDTW
-//! filters speak — so the flow-cell simulator, the batch engine and the
+//! filters speak — so the flow-cell simulator, the scheduler and the
 //! runtime model can drive either pipeline interchangeably.
 
 use crate::mapper::{Mapper, MapperConfig};

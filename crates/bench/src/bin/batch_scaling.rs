@@ -1,7 +1,8 @@
-//! Batch-classification thread sweep (Figure 21 companion): throughput of the
-//! `BatchClassifier` at 1, 2, 4 and 8 worker threads over a simulated
-//! labelled dataset, written to `BENCH_batch.json` for CI trend tracking
-//! (field-by-field reference: `docs/benchmarks.md`).
+//! Batch-classification worker sweep (Figure 21 companion): throughput of
+//! `SessionScheduler::classify_batch` — whole reads in hand, one arrival per
+//! read — at 1, 2, 4 and 8 worker threads over a simulated labelled dataset,
+//! written to `BENCH_batch.json` for CI trend tracking (field-by-field
+//! reference: `docs/benchmarks.md`).
 //!
 //! The classifier is the paper's multi-stage design (§4.6) on rolling
 //! normalization: a permissive stage-0 test at 1000 samples ejects
@@ -14,9 +15,9 @@
 //! window visible (see docs/benchmarks.md).
 //!
 //! A final pass replays the same dataset as interleaved per-read chunk
-//! streams through the `sf-sched` micro-batched session scheduler and
-//! reports `sessions_per_s` against the 1-thread sweep point — the
-//! server-shaped engine vs read-at-a-time dispatch on identical DP work.
+//! streams through the same scheduler and reports `sessions_per_s` against
+//! the 1-worker sweep point — interleaved 400-sample chunks vs whole-read
+//! arrivals on identical DP work.
 //!
 //! Usage: `cargo run --release -p sf-bench --bin batch_scaling [--quick] [--out PATH]`
 //!
@@ -29,8 +30,8 @@ use sf_metrics::ConfusionMatrix;
 use sf_pore_model::{KmerModel, ReferenceSquiggle};
 use sf_sched::{Arrival, MicroBatchConfig, SessionId, SessionScheduler};
 use sf_sdtw::{
-    calibrate_threshold, BatchClassifier, BatchConfig, FilterConfig, KernelBackend,
-    MultiStageConfig, MultiStageFilter, ReadClassifier, SdtwConfig, Stage, StreamClassification,
+    calibrate_threshold, FilterConfig, KernelBackend, MultiStageConfig, MultiStageFilter,
+    ReadClassifier, SdtwConfig, Stage, StreamClassification,
 };
 use sf_shard::{pan_viral_panel, panel_classifier, PanelConfig};
 use sf_sim::flowcell::{FlowCellConfig, FlowCellSimulator, ReadUntilPolicy};
@@ -44,6 +45,12 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// The raw samples of each read: the whole-read arrivals `classify_batch`
+/// takes.
+fn samples(squiggles: &[RawSquiggle]) -> impl Iterator<Item = &[u16]> {
+    squiggles.iter().map(RawSquiggle::samples)
+}
 
 struct SweepPoint {
     threads: usize,
@@ -76,8 +83,8 @@ struct SchedulerPoint {
     seconds: f64,
     sessions: usize,
     sessions_per_s: f64,
-    /// `sessions_per_s / reads_per_s` of the 1-thread `BatchClassifier`
-    /// sweep point — same DP work, so this isolates scheduling overhead.
+    /// `sessions_per_s / reads_per_s` of the 1-worker whole-read sweep
+    /// point — same DP work, so this isolates what interleaving costs.
     speedup_vs_batch_1t: f64,
     micro_batches: u64,
     mean_microbatch_sessions: f64,
@@ -93,10 +100,10 @@ struct SchedulerPoint {
 /// Read Until service sees, delivered as one burst so the measurement stays
 /// single-threaded (on the 1-worker fastpath the caller thread IS the
 /// worker; a live producer thread would only add scheduling noise to the
-/// clock). Total DP work matches the 1-thread sweep point bit for bit
+/// clock). Total DP work matches the 1-worker sweep point bit for bit
 /// (chunking never changes a session's decisions), so `sessions_per_s`
 /// against that point's `reads_per_s` is an honest read on what
-/// micro-batching costs or saves.
+/// interleaved chunks cost or save against whole-read arrivals.
 fn run_scheduler(
     filter: &MultiStageFilter,
     squiggles: &[RawSquiggle],
@@ -339,7 +346,7 @@ fn main() {
 
     print_header(
         "Batch scaling",
-        "BatchClassifier throughput vs worker threads",
+        "SessionScheduler::classify_batch throughput vs worker threads",
     );
     let (genome_len, reads_per_class) = if quick { (3_000, 24) } else { (8_000, 100) };
     let genome = sf_genome::random::random_genome(41, genome_len);
@@ -422,16 +429,20 @@ fn main() {
     let mut points: Vec<SweepPoint> = Vec::new();
     let mut stats: Option<DecisionStats> = None;
     for &threads in &THREAD_SWEEP {
-        let batch = BatchClassifier::new(filter.clone(), BatchConfig::with_threads(threads));
+        let scheduler = SessionScheduler::new(MicroBatchConfig::default().with_workers(threads));
         // Warm-up pass (first touch of the reference is not what we measure),
         // then the timed pass. Runs in quick mode too: the threads=1 point is
         // measured first and would otherwise absorb cold-start costs, biasing
         // every later speedup_vs_1t upward.
-        batch.classify_batch(&squiggles[..squiggles.len().min(8)]);
+        let _ = scheduler.classify_batch(&filter, samples(&squiggles[..squiggles.len().min(8)]));
         let tel_before = sf_telemetry::snapshot();
         let start = Instant::now();
-        let report = batch.classify_labelled(&squiggles, &labels);
+        let classifications = scheduler.classify_batch(&filter, samples(&squiggles));
         let seconds = start.elapsed().as_secs_f64();
+        let mut confusion = ConfusionMatrix::new();
+        for (c, &label) in classifications.iter().zip(&labels) {
+            confusion.record(label, c.verdict.is_accept());
+        }
         let dp_cells =
             sf_telemetry::snapshot().counter_delta(&tel_before, sf_sdtw::telemetry::SDTW_DP_CELLS);
         let reads_per_s = squiggles.len() as f64 / seconds;
@@ -444,20 +455,20 @@ fn main() {
             seconds,
             reads_per_s,
             speedup,
-            report.confusion.accuracy() * 100.0
+            confusion.accuracy() * 100.0
         );
         points.push(SweepPoint {
             threads,
             seconds,
             reads_per_s,
             speedup,
-            confusion: report.confusion,
+            confusion,
             dp_cells,
             cells_per_s: dp_cells as f64 / seconds,
         });
         // Decisions are identical across thread counts; record once.
         if stats.is_none() {
-            stats = Some(decision_stats(&report.classifications));
+            stats = Some(decision_stats(&classifications));
         }
     }
 
@@ -503,11 +514,14 @@ fn main() {
         let mut config = staged_config.clone();
         config.sdtw = config.sdtw.with_backend(backend);
         let backend_filter = MultiStageFilter::new(&reference, config);
-        let batch = BatchClassifier::new(backend_filter, BatchConfig::with_threads(1));
-        batch.classify_batch(&squiggles[..squiggles.len().min(8)]);
+        let scheduler = SessionScheduler::new(MicroBatchConfig::default());
+        let _ = scheduler.classify_batch(
+            &backend_filter,
+            samples(&squiggles[..squiggles.len().min(8)]),
+        );
         let tel_before = sf_telemetry::snapshot();
         let start = Instant::now();
-        let _ = batch.classify_labelled(&squiggles, &labels);
+        let _ = scheduler.classify_batch(&backend_filter, samples(&squiggles));
         let seconds = start.elapsed().as_secs_f64();
         let dp_cells =
             sf_telemetry::snapshot().counter_delta(&tel_before, sf_sdtw::telemetry::SDTW_DP_CELLS);
@@ -539,8 +553,9 @@ fn main() {
     }
 
     // The same squiggles replayed as interleaved sessions through the
-    // micro-batched scheduler (single worker, matching the 1-thread sweep
-    // point): identical total DP work, so the delta is pure scheduling.
+    // micro-batched scheduler (single worker, matching the 1-worker sweep
+    // point): identical total DP work, so the delta is what interleaving
+    // costs.
     let scheduler_point = run_scheduler(
         &filter,
         &squiggles,
@@ -548,7 +563,7 @@ fn main() {
     );
     println!();
     println!(
-        "scheduler: {:>8.3} s, {:>10.2} sessions/s ({:.2}x vs batch 1t), {} micro-batches, \
+        "scheduler: {:>8.3} s, {:>10.2} sessions/s ({:.2}x vs whole reads 1t), {} micro-batches, \
          mean occupancy {:.1}, {} late chunks",
         scheduler_point.seconds,
         scheduler_point.sessions_per_s,
@@ -874,12 +889,6 @@ fn render_telemetry(json: &mut String, snap: &Snapshot, points: &[SweepPoint]) {
         snap.histogram(sf_sdtw::telemetry::SDTW_CHUNK_PUSH_NS),
         ",",
     );
-    write_latency(
-        json,
-        "queue_wait_ns",
-        snap.histogram(sf_sdtw::telemetry::BATCH_QUEUE_WAIT_NS),
-        ",",
-    );
     // Peak sweep-point rate: the best sustained software throughput measured
     // in this run (each point's dp_cells delta over its timed pass).
     let software_cells_per_s = points.iter().map(|p| p.cells_per_s).fold(0.0f64, f64::max);
@@ -895,13 +904,12 @@ fn render_telemetry(json: &mut String, snap: &Snapshot, points: &[SweepPoint]) {
     let _ = writeln!(
         json,
         "    \"counts\": {{ \"early_rejects\": {}, \"stage_escalations\": {}, \
-         \"calibrations\": {}, \"recalibrations\": {}, \"batch_reads\": {}, \
-         \"flowcell_ejects\": {}, \"missed_eject_windows\": {} }},",
+         \"calibrations\": {}, \"recalibrations\": {}, \"flowcell_ejects\": {}, \
+         \"missed_eject_windows\": {} }},",
         counter(sf_sdtw::telemetry::SDTW_EARLY_REJECTS),
         counter(sf_sdtw::telemetry::SDTW_STAGE_ESCALATIONS),
         counter(sf_squiggle::telemetry::NORMALIZE_CALIBRATIONS),
         counter(sf_squiggle::telemetry::NORMALIZE_RECALIBRATIONS),
-        counter(sf_sdtw::telemetry::BATCH_READS),
         counter(sf_sim::telemetry::FLOWCELL_EJECTS),
         counter(sf_sim::telemetry::FLOWCELL_MISSED_EJECT_WINDOWS),
     );

@@ -15,9 +15,10 @@
 //! Implementors: [`crate::SquiggleFilter`] (single-stage sDTW with a sound
 //! early-reject bound), [`crate::MultiStageFilter`] (stage escalation as
 //! chunks accumulate), and `sf_align::MapperClassifier` (the basecall-and-map
-//! baseline). Consumers: [`crate::BatchClassifier`] (generic over any
-//! `ReadClassifier`), `sf_sim::FlowCellSimulator` (chunk-by-chunk ejection)
-//! and `sf_readuntil::ClassifierPoint::from_session_stats` (measured
+//! baseline). Consumers: `sf_sched::SessionScheduler` (interleaved chunk
+//! arrivals and whole-read batches, generic over any `ReadClassifier`),
+//! `sf_sim::FlowCellSimulator` (chunk-by-chunk ejection) and
+//! `sf_readuntil::ClassifierPoint::from_session_stats` (measured
 //! samples-to-decision distributions for the runtime model).
 
 use crate::filter::FilterVerdict;

@@ -26,9 +26,6 @@
 //! * [`multistage`] — multi-stage filtering with carried-over DP state
 //!   (paper §4.6): the stage configuration and [`MultiStageFilter`], a
 //!   constructor over the staged engine.
-//! * [`batch`] — the [`BatchClassifier`]: shared-queue multi-threaded
-//!   classification of whole read batches with merged confusion matrices,
-//!   generic over any [`ReadClassifier`].
 //! * [`threshold`] — threshold calibration from labelled costs.
 //! * [`telemetry`] — metric names for the runtime instrumentation of all of
 //!   the above (chunk latency, DP cells, per-phase timing; see
@@ -61,7 +58,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod classifier;
 pub mod config;
 pub mod filter;
@@ -76,7 +72,6 @@ pub mod result;
 pub mod telemetry;
 pub mod threshold;
 
-pub use batch::{BatchClassifier, BatchConfig, BatchReport};
 pub use classifier::{
     ClassifierSession, Decision, ReadClassifier, SessionState, StreamClassification, TargetId,
 };

@@ -1,11 +1,11 @@
 //! Metric names (and private handles) for the classifier pipeline.
 //!
 //! Naming follows `docs/observability.md`: `sdtw.*` covers the DP kernels
-//! and streaming sessions, `batch.*` the worker pool. The per-sample DP
-//! loops are never instrumented directly — sessions accumulate plain
-//! integers (the crate-private `SessionStats`) and flush them to the global
-//! registry once per chunk via a `ChunkSpan`, so the hot path stays free of clock
-//! reads and the flush itself is a handful of relaxed atomic adds.
+//! and streaming sessions. The per-sample DP loops are never instrumented
+//! directly — sessions accumulate plain integers (the crate-private
+//! `SessionStats`) and flush them to the global registry once per chunk via
+//! a `ChunkSpan`, so the hot path stays free of clock reads and the flush
+//! itself is a handful of relaxed atomic adds.
 
 use crate::kernel::SdtwStream;
 use sf_telemetry::{
@@ -42,16 +42,6 @@ pub const SDTW_EARLY_REJECTS: &str = "sdtw.early_rejects";
 /// Counter: staged sessions passing a stage boundary on to the next stage
 /// (only filters with more than one stage escalate).
 pub const SDTW_STAGE_ESCALATIONS: &str = "sdtw.stage_escalations";
-/// Counter: reads classified by [`BatchClassifier`] workers.
-///
-/// [`BatchClassifier`]: crate::BatchClassifier
-pub const BATCH_READS: &str = "batch.reads";
-/// Histogram: nanoseconds a worker waited to claim the next shard
-/// (lock acquisition + queue pop; one sample per claim attempt).
-pub const BATCH_QUEUE_WAIT_NS: &str = "batch.queue_wait_ns";
-/// Histogram: reads classified per worker per batch (the load-balance
-/// distribution of the self-scheduling pool).
-pub const BATCH_WORKER_READS: &str = "batch.worker_reads";
 
 pub(crate) struct Metrics {
     pub chunk_push_ns: &'static Histogram,
@@ -63,9 +53,6 @@ pub(crate) struct Metrics {
     pub decision_ns: &'static Counter,
     pub early_rejects: &'static Counter,
     pub stage_escalations: &'static Counter,
-    pub batch_reads: &'static Counter,
-    pub queue_wait_ns: &'static Histogram,
-    pub worker_reads: &'static Histogram,
 }
 
 /// The crate's registered metric handles (registered once, then lock-free).
@@ -81,9 +68,6 @@ pub(crate) fn metrics() -> &'static Metrics {
         decision_ns: register_counter(SDTW_STAGE_DECISION_NS),
         early_rejects: register_counter(SDTW_EARLY_REJECTS),
         stage_escalations: register_counter(SDTW_STAGE_ESCALATIONS),
-        batch_reads: register_counter(BATCH_READS),
-        queue_wait_ns: register_histogram(BATCH_QUEUE_WAIT_NS),
-        worker_reads: register_histogram(BATCH_WORKER_READS),
     })
 }
 

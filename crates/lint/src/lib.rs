@@ -1,7 +1,7 @@
 //! `sf-lint` — workspace-native static analysis for the SquiggleFilter repo.
 //!
 //! Mechanizes invariants that previously lived only in review comments and
-//! prose docs: lock discipline in the batch pool, hot-path purity in the DP
+//! prose docs: lock discipline in worker pools, hot-path purity in the DP
 //! kernels, panic freedom in library code, cargo feature plumbing for the
 //! telemetry chain, the metric naming catalog, and `#[must_use]` on builder
 //! and verdict types. Zero external dependencies by construction — the

@@ -547,6 +547,35 @@ impl SessionScheduler {
         }
         report
     }
+
+    /// Classifies whole reads that are already in hand, returning one
+    /// outcome per read in input order.
+    ///
+    /// Each read arrives as one chunk followed by its end marker, so this is
+    /// [`run`](Self::run) over whole-read arrivals: outcomes are
+    /// bit-identical to [`ReadClassifier::classify_stream`] on each read, and
+    /// `workers` sets the thread count.
+    pub fn classify_batch<'r, C: ReadClassifier + Sync>(
+        &self,
+        classifier: &C,
+        reads: impl IntoIterator<Item = &'r [u16]>,
+    ) -> Vec<StreamClassification> {
+        let (ingest_tx, ingest_rx) = std::sync::mpsc::channel();
+        for (i, read) in reads.into_iter().enumerate() {
+            let id = SessionId(i as u64);
+            let _ = ingest_tx.send(Arrival::chunk(id, read.to_vec()));
+            let _ = ingest_tx.send(Arrival::end(id));
+        }
+        drop(ingest_tx);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let _ = self.run(classifier, ingest_rx, &done_tx);
+        drop(done_tx);
+        // Every opened session is finalized exactly once, so the outcomes
+        // are exactly the ids 0..n.
+        let mut outcomes: Vec<SessionOutcome> = done_rx.into_iter().collect();
+        outcomes.sort_unstable_by_key(|o| o.id);
+        outcomes.into_iter().map(|o| o.classification).collect()
+    }
 }
 
 #[cfg(test)]
@@ -828,6 +857,33 @@ mod tests {
                 run.join().expect("scheduler thread")
             });
             assert_eq!(report.sessions_completed, 1);
+        }
+    }
+
+    #[test]
+    fn classify_batch_returns_outcomes_in_input_order() {
+        let probe = ParityProbe { budget: 100 };
+        let mut reads = test_reads(9);
+        reads.push(Vec::new());
+        let want: Vec<StreamClassification> = reads
+            .iter()
+            .map(|read| {
+                let mut session = probe.start_read();
+                let _ = session.push_chunk(read);
+                session.finalize()
+            })
+            .collect();
+        for workers in [1usize, 3] {
+            let scheduler = SessionScheduler::new(
+                MicroBatchConfig::default()
+                    .with_workers(workers)
+                    .with_max_chunk_samples(64),
+            );
+            let got = scheduler.classify_batch(&probe, reads.iter().map(Vec::as_slice));
+            assert_eq!(got, want, "workers {workers}");
+            assert!(scheduler
+                .classify_batch(&probe, std::iter::empty::<&[u16]>())
+                .is_empty());
         }
     }
 

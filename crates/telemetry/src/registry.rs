@@ -8,7 +8,7 @@
 //! # Naming
 //!
 //! Names are `subsystem.metric` in `snake_case` after the dot:
-//! `sdtw.chunk_push_ns`, `batch.queue_wait_ns`, `flowcell.ejects`.
+//! `sdtw.chunk_push_ns`, `sched.chunk_queue_wait_ns`, `flowcell.ejects`.
 //! Durations are counters/histograms of nanoseconds suffixed `_ns`.
 
 use crate::counter::{Counter, Gauge};

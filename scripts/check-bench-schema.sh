@@ -9,7 +9,9 @@
 #   2. the --no-default-features run reports "enabled": false (a regression
 #      here means cargo feature unification silently re-enabled telemetry),
 #   3. accuracy/TPR/FPR are identical across the two modes — telemetry is
-#      observation only and must never change a verdict,
+#      observation only and must never change a verdict — and, in the
+#      enabled run, across every worker count and backend, which must also
+#      evaluate exactly the same DP cells,
 #   4. the per-point timing overhead of the enabled run is reported (quick
 #      runs on shared CI machines are too noisy to gate on, so the ≤2%
 #      budget is enforced by local release-mode runs, not here).
@@ -51,14 +53,12 @@ if tel.get("enabled") is not True:
 for section, keys in {
     "stage_ns": ["normalize", "dp", "decision"],
     "chunk_latency_ns": ["count", "p50", "p95", "p99", "max"],
-    "queue_wait_ns": ["count", "p50", "p95", "p99", "max"],
     "dp": ["cells", "rows", "band_cells_skipped", "software_cells_per_s"],
     "counts": [
         "early_rejects",
         "stage_escalations",
         "calibrations",
         "recalibrations",
-        "batch_reads",
         "flowcell_ejects",
         "missed_eject_windows",
     ],
@@ -169,6 +169,22 @@ for pe, pd in zip(enabled.get("sweep", []), disabled.get("sweep", [])):
                    f"modes ({pe.get(key)} vs {pd.get(key)})")
 if len(enabled.get("sweep", [])) != len(disabled.get("sweep", [])):
     broken("sweep point counts differ across modes")
+
+# 3b. Worker count and backend change neither a verdict nor the DP work.
+sweep = enabled.get("sweep", [])
+if sweep:
+    first = sweep[0]
+    for p in sweep[1:]:
+        for key in ("accuracy", "tpr", "fpr", "dp_cells"):
+            if p.get(key) != first.get(key):
+                broken(f"{enabled_path}: sweep threads={p.get('threads')}: {key} "
+                       f"differs from threads={first.get('threads')} "
+                       f"({p.get(key)} vs {first.get(key)})")
+    for b in enabled.get("backends", []):
+        if b.get("dp_cells") != first.get("dp_cells"):
+            broken(f"{enabled_path}: backends[{b.get('backend')}].dp_cells "
+                   f"differs from sweep[0] ({b.get('dp_cells')} vs "
+                   f"{first.get('dp_cells')})")
 
 # 4. Informational overhead report (not gated: quick CI runs are noisy).
 pairs = [

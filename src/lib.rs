@@ -88,10 +88,9 @@ pub mod prelude {
         Arrival, MicroBatchConfig, SchedulerReport, SessionId, SessionOutcome, SessionScheduler,
     };
     pub use sf_sdtw::{
-        Band, BatchClassifier, BatchConfig, BatchReport, ClassifierSession, Decision, FilterConfig,
-        FilterVerdict, KernelBackend, MultiStageConfig, MultiStageFilter, ReadClassifier,
-        SdtwConfig, SdtwKernel, SdtwStream, SessionState, SquiggleFilter, StreamClassification,
-        TargetId,
+        Band, ClassifierSession, Decision, FilterConfig, FilterVerdict, KernelBackend,
+        MultiStageConfig, MultiStageFilter, ReadClassifier, SdtwConfig, SdtwKernel, SdtwStream,
+        SessionState, SquiggleFilter, StreamClassification, TargetId,
     };
     pub use sf_shard::{
         pan_viral_panel, panel_classifier, PanelConfig, PanelTarget, ShardedClassifier,

@@ -1,14 +1,14 @@
-//! Integration parity test: the multi-threaded `BatchClassifier` must produce
-//! exactly the outcomes of the sequential streaming loop.
+//! Integration parity test: whole-read batches classified through the
+//! multi-worker `SessionScheduler` must produce exactly the outcomes of the
+//! sequential streaming loop.
 
-use squigglefilter::metrics::ConfusionMatrix;
 use squigglefilter::prelude::*;
 use squigglefilter::sdtw::StreamClassification;
 use squigglefilter::sim::Dataset;
 use squigglefilter::squiggle::RawSquiggle;
 
 /// 200 simulated reads (100 target / 100 background) over a 6 kb genome —
-/// big enough to span many self-scheduled shards, small enough for debug CI.
+/// big enough to spread over every worker, small enough for debug CI.
 fn dataset_200() -> Dataset {
     let genome = squigglefilter::genome::random::random_genome(2024, 6_000);
     DatasetBuilder::new("batch-parity", genome, 2024)
@@ -29,50 +29,29 @@ fn batch_classifier_matches_sequential_loop() {
     );
 
     let squiggles: Vec<RawSquiggle> = dataset.reads.iter().map(|r| r.squiggle.clone()).collect();
-    let labels: Vec<bool> = dataset.reads.iter().map(|r| r.is_target()).collect();
 
     // The sequential reference path: one streaming session per read.
     let sequential: Vec<StreamClassification> = squiggles
         .iter()
         .map(|s| filter.classify_stream(s))
         .collect();
-    let mut sequential_confusion = ConfusionMatrix::new();
-    for (c, &label) in sequential.iter().zip(&labels) {
-        sequential_confusion.record(label, c.verdict.is_accept());
-    }
 
-    // Two adversarial thread/chunk shapes: more threads than this machine has
-    // cores with a chunk size that does not divide 200, and oversubscribed
-    // single-read chunks. (Each pass costs ~35 s of sDTW in debug CI, so the
-    // shape list is kept minimal; unit tests in sf-sdtw cover more shapes on
-    // a smaller dataset.)
-    for (threads, chunk) in [(4, 7), (8, 1)] {
-        let batch = BatchClassifier::new(
-            filter.clone(),
-            BatchConfig::with_threads(threads).chunk_size(chunk),
-        );
-        let report = batch.classify_labelled(&squiggles, &labels);
-        assert_eq!(report.classifications.len(), sequential.len());
-        assert!(report.threads_used <= threads);
-        for (i, (got, want)) in report.classifications.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                got.verdict, want.verdict,
-                "read {i} (threads {threads}, chunk {chunk})"
-            );
-            assert_eq!(
-                got.result, want.result,
-                "read {i} (threads {threads}, chunk {chunk})"
-            );
+    // Two adversarial worker counts: more workers than this machine has
+    // cores, and oversubscribed. (Each pass costs ~35 s of sDTW in debug CI,
+    // so the list is kept minimal; sf-sched's unit tests cover more shapes
+    // on a probe classifier.)
+    for workers in [4, 8] {
+        let scheduler = SessionScheduler::new(MicroBatchConfig::default().with_workers(workers));
+        let got = scheduler.classify_batch(&filter, squiggles.iter().map(RawSquiggle::samples));
+        assert_eq!(got.len(), sequential.len());
+        for (i, (got, want)) in got.iter().zip(&sequential).enumerate() {
+            assert_eq!(got.verdict, want.verdict, "read {i} (workers {workers})");
+            assert_eq!(got.result, want.result, "read {i} (workers {workers})");
             assert_eq!(
                 got.samples_consumed, want.samples_consumed,
-                "read {i} (threads {threads}, chunk {chunk})"
+                "read {i} (workers {workers})"
             );
         }
-        assert_eq!(
-            report.confusion, sequential_confusion,
-            "threads {threads}, chunk {chunk}"
-        );
-        assert_eq!(report.confusion.total(), 200);
     }
 }
 
@@ -94,16 +73,15 @@ fn batch_classifier_is_deterministic_across_runs() {
         .map(|r| r.squiggle.clone())
         .collect();
 
-    let batch = BatchClassifier::new(filter, BatchConfig::with_threads(4));
-    let first: Vec<FilterVerdict> = batch
-        .classify_batch(&squiggles)
-        .into_iter()
-        .map(|c| c.verdict)
-        .collect();
-    let second: Vec<FilterVerdict> = batch
-        .classify_batch(&squiggles)
-        .into_iter()
-        .map(|c| c.verdict)
-        .collect();
+    let scheduler = SessionScheduler::new(MicroBatchConfig::default().with_workers(4));
+    let verdicts = || -> Vec<FilterVerdict> {
+        scheduler
+            .classify_batch(&filter, squiggles.iter().map(RawSquiggle::samples))
+            .into_iter()
+            .map(|c| c.verdict)
+            .collect()
+    };
+    let first = verdicts();
+    let second = verdicts();
     assert_eq!(first, second);
 }

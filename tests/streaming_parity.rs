@@ -376,22 +376,21 @@ fn batch_classifier_accepts_filter_and_multistage_through_the_trait() {
     let genome = squigglefilter::genome::random::random_genome(12, 2_500);
     let reads = test_reads(&model, &genome);
 
+    let scheduler = SessionScheduler::new(MicroBatchConfig::default().with_workers(2));
     let single = SquiggleFilter::from_genome(&model, &genome, FilterConfig::hardware(30_000.0));
-    let batch_single = BatchClassifier::new(single, BatchConfig::with_threads(2).chunk_size(1));
-    let single_out = batch_single.classify_batch(&reads);
+    let single_out = scheduler.classify_batch(&single, reads.iter().map(RawSquiggle::samples));
 
     let reference = ReferenceSquiggle::from_genome(&model, &genome);
     let staged = MultiStageFilter::new(&reference, MultiStageConfig::two_stage(25_000.0, 60_000.0));
-    let batch_staged = BatchClassifier::new(staged, BatchConfig::with_threads(2).chunk_size(1));
-    let staged_out = batch_staged.classify_batch(&reads);
+    let staged_out = scheduler.classify_batch(&staged, reads.iter().map(RawSquiggle::samples));
 
     assert_eq!(single_out.len(), reads.len());
     assert_eq!(staged_out.len(), reads.len());
     for (i, read) in reads.iter().enumerate() {
-        let want = batch_single.classifier().classify_stream(read);
+        let want = single.classify_stream(read);
         assert_eq!(single_out[i].verdict, want.verdict, "single, read {i}");
         assert_eq!(single_out[i].result, want.result, "single, read {i}");
-        let want = batch_staged.classifier().classify_stream(read);
+        let want = staged.classify_stream(read);
         assert_eq!(staged_out[i].verdict, want.verdict, "staged, read {i}");
         assert_eq!(staged_out[i].result, want.result, "staged, read {i}");
     }

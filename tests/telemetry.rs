@@ -1,5 +1,5 @@
-//! Telemetry integration tests: counter exactness under the multi-threaded
-//! `BatchClassifier` pool and verdict parity while the registry is being
+//! Telemetry integration tests: counter exactness under a multi-worker
+//! `SessionScheduler` batch and verdict parity while the registry is being
 //! hammered concurrently.
 //!
 //! These tests only make sense with telemetry compiled in (the default);
@@ -8,12 +8,13 @@
 #![cfg(feature = "telemetry")]
 
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::telemetry::{BATCH_READS, SDTW_DP_CELLS};
+use squigglefilter::sched::telemetry::SCHED_EVICTIONS;
+use squigglefilter::sdtw::telemetry::SDTW_DP_CELLS;
 use squigglefilter::squiggle::RawSquiggle;
 use squigglefilter::telemetry::snapshot;
 use std::sync::Mutex;
 
-/// The `sdtw.*`/`batch.*` counters are process-global, so tests measuring
+/// The `sdtw.*`/`sched.*` counters are process-global, so tests measuring
 /// deltas must not classify concurrently with each other.
 fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -54,14 +55,17 @@ fn batch_pool_counts_exactly_like_sequential() {
         "sequential pass evaluated no DP cells"
     );
 
-    // The same reads through a 4-worker pool: relaxed atomics lose nothing,
-    // so the cell count must match the sequential pass exactly and every
-    // read must be counted exactly once.
-    let batch = BatchClassifier::new(filter, BatchConfig::with_threads(4).chunk_size(3));
-    let _ = batch.classify_batch(&reads);
+    // The same reads through a 4-worker scheduler: relaxed atomics lose
+    // nothing, so the cell count must match the sequential pass exactly and
+    // every read must be evicted exactly once.
+    let scheduler = SessionScheduler::new(MicroBatchConfig::default().with_workers(4));
+    let _ = scheduler.classify_batch(&filter, reads.iter().map(RawSquiggle::samples));
     let after = snapshot();
     assert_eq!(after.counter_delta(&mid, SDTW_DP_CELLS), sequential_cells);
-    assert_eq!(after.counter_delta(&mid, BATCH_READS), reads.len() as u64);
+    assert_eq!(
+        after.counter_delta(&mid, SCHED_EVICTIONS),
+        reads.len() as u64
+    );
 }
 
 #[test]
