@@ -502,10 +502,10 @@ fn main() {
     }
 
     // Scalar-vs-vector single-thread comparison: the same staged filter with
-    // the row-update backend pinned each way. The sweep above runs the Auto
-    // default (which resolves to the vector backend when reference deletions
-    // are off), so this pass is what isolates the kernel redesign's speedup
-    // and feeds the per-backend `cells_per_s` CI trend.
+    // the row-update backend pinned each way. The sweep above runs the
+    // default Vector backend (the AVX2 row body when reference deletions are
+    // off and the CPU has AVX2), so this pass is what isolates the kernel's
+    // speedup and feeds the per-backend `cells_per_s` CI trend.
     let mut backend_points: Vec<BackendPoint> = Vec::new();
     for (name, backend) in [
         ("scalar", KernelBackend::Scalar),
@@ -723,8 +723,8 @@ fn render_json(
         );
     }
     let _ = writeln!(json, "  ],");
-    // Per-backend single-thread points: the scalar oracle vs the vectorized
-    // row update, same dataset and staged config as the sweep.
+    // Per-backend single-thread points: the scalar oracle vs the AVX2 row
+    // update, same dataset and staged config as the sweep.
     let scalar_reads_per_s = backend_points
         .iter()
         .find(|p| p.backend == "scalar")

@@ -127,25 +127,23 @@ impl Band {
 ///
 /// Both backends implement the identical recurrence and are bit-exact with
 /// each other (pinned by the scalar-vs-vector parity suite); the scalar
-/// backend is the reference oracle, the vector backend processes the row in
-/// autovectorization-friendly chunked passes. The vector row update requires
-/// the no-reference-deletion recurrence (removing the `S[i][j-1]` input is
-/// what removes the loop-carried dependency — the same property that lets
-/// the paper's systolic array evaluate a whole row per cycle), so configs
-/// that allow reference deletions always run the scalar backend.
+/// backend is the reference oracle, the vector backend updates 8 cells per
+/// AVX2 step. The vector row update requires the no-reference-deletion
+/// recurrence (removing the `S[i][j-1]` input is what removes the
+/// loop-carried dependency — the same property that lets the paper's
+/// systolic array evaluate a whole row per cycle) and a CPU with AVX2;
+/// [`SdtwConfig::resolved_backend`] runs the scalar backend otherwise.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
 )]
 pub enum KernelBackend {
     /// The branchy one-cell-at-a-time reference implementation.
     Scalar,
-    /// Chunked, branchless row update. Falls back to [`KernelBackend::Scalar`]
-    /// when the config allows reference deletions.
-    Vector,
-    /// Pick automatically: [`KernelBackend::Vector`] whenever the recurrence
-    /// permits it, [`KernelBackend::Scalar`] otherwise.
+    /// The AVX2 8-cell row body, with column 0 and the tail left to the
+    /// scalar loop. Resolves to [`KernelBackend::Scalar`] when the config
+    /// allows reference deletions or the CPU lacks AVX2.
     #[default]
-    Auto,
+    Vector,
 }
 
 /// Full kernel configuration.
@@ -174,7 +172,7 @@ impl SdtwConfig {
             allow_reference_deletion: true,
             match_bonus: None,
             band: Band::Full,
-            backend: KernelBackend::Auto,
+            backend: KernelBackend::Vector,
         }
     }
 
@@ -187,7 +185,7 @@ impl SdtwConfig {
             allow_reference_deletion: false,
             match_bonus: Some(MatchBonus::default()),
             band: Band::Full,
-            backend: KernelBackend::Auto,
+            backend: KernelBackend::Vector,
         }
     }
 
@@ -235,21 +233,20 @@ impl SdtwConfig {
         self
     }
 
-    /// The backend a kernel built from this config actually runs: never
-    /// [`KernelBackend::Auto`], and never [`KernelBackend::Vector`] when
-    /// reference deletions are allowed (the `S[i][j-1]` input is a
-    /// loop-carried dependency the vector row update cannot honor, so those
-    /// configs fall back to the scalar oracle).
+    /// The backend a kernel built from this config actually runs — the one
+    /// place the backend is decided. It is [`KernelBackend::Vector`] only
+    /// when the config asks for it, reference deletions are off (the
+    /// `S[i][j-1]` input is a loop-carried dependency the vector row update
+    /// cannot honor) and the CPU has AVX2; otherwise the scalar oracle.
     pub fn resolved_backend(&self) -> KernelBackend {
-        match self.backend {
-            KernelBackend::Scalar => KernelBackend::Scalar,
-            KernelBackend::Vector | KernelBackend::Auto => {
-                if self.allow_reference_deletion {
-                    KernelBackend::Scalar
-                } else {
-                    KernelBackend::Vector
-                }
-            }
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if self.backend == KernelBackend::Vector && !self.allow_reference_deletion && avx2 {
+            KernelBackend::Vector
+        } else {
+            KernelBackend::Scalar
         }
     }
 
@@ -353,8 +350,8 @@ mod tests {
 
     #[test]
     fn backend_resolution_respects_the_deletion_dependency() {
-        // Auto picks vector exactly when the recurrence has no loop-carried
-        // dependency; explicit Vector falls back to Scalar when it does.
+        // The default Vector runs exactly when the recurrence has no
+        // loop-carried dependency (on an AVX2 CPU); otherwise Scalar.
         assert_eq!(
             SdtwConfig::hardware().resolved_backend(),
             KernelBackend::Vector

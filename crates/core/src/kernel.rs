@@ -12,22 +12,24 @@
 //!
 //! # Backends
 //!
-//! Every engine carries a resolved [`KernelBackend`]:
+//! Every engine carries the [`KernelBackend`] that
+//! [`SdtwConfig::resolved_backend`] chose when it was built; rows never
+//! re-decide:
 //!
 //! * **Scalar** — the branchy one-cell-at-a-time loop, unchanged from the
 //!   original kernels. It is the parity oracle: the vector backend and the
 //!   hardware model are both checked cell-for-cell against it.
-//! * **Vector** — the row update split into chunked, branchless passes over
-//!   pre-sliced equal-length windows (cost lanes, then dwell lanes, then
-//!   start lanes), which LLVM autovectorizes. This is only possible because
-//!   the accelerator's recurrence drops the `S[i][j-1]` reference-deletion
-//!   input: without it no cell of a row depends on another cell of the same
-//!   row — the exact property the paper exploits with one PE per reference
-//!   position. Configs that allow deletions resolve to Scalar.
+//! * **Vector** — an explicit AVX2 body that updates 8 cells per step off
+//!   one compare mask, with column 0 and the sub-8-cell tail left to the
+//!   scalar loop. This is only possible because the accelerator's
+//!   recurrence drops the `S[i][j-1]` reference-deletion input: without it
+//!   no cell of a row depends on another cell of the same row — the exact
+//!   property the paper exploits with one PE per reference position.
+//!   Configs that allow deletions, and CPUs without AVX2, resolve to Scalar.
 //!
 //! The two backends are bit-identical on every configuration (strict `<`
-//! tie-breaking maps to a branchless select of the same comparison), so
-//! [`KernelBackend::Auto`] can pick Vector without changing any result.
+//! tie-breaking maps to a branchless select of the same comparison), so the
+//! default can pick Vector without changing any result.
 //!
 //! # Banding
 //!
@@ -46,11 +48,6 @@
 use crate::config::{Band, DistanceMetric, KernelBackend, SdtwConfig};
 use crate::result::SdtwResult;
 use std::fmt;
-
-/// Cells per block of the vectorized row update. Small enough that the
-/// per-block `take` mask lives on the stack, large enough to amortize the
-/// loop overhead across many SIMD lanes.
-const VECTOR_CHUNK: usize = 64;
 
 /// The numeric domain of a kernel: sample type, cost type, and the
 /// arithmetic the sDTW recurrence performs on them.
@@ -81,13 +78,20 @@ pub trait SdtwLane: fmt::Debug + Clone + Copy + Send + Sync + 'static {
     /// Converts a cost to the `f64` reported in [`SdtwResult`].
     fn cost_to_f64(cost: Self::Cost) -> f64;
 
-    /// Architecture-specific row update for `lo..hi` (`lo >= 1`, no
-    /// reference deletions). Returns `false` when no accelerated path is
-    /// available, in which case the caller falls back to the portable
-    /// chunked loop. Implementations must be bit-identical to
-    /// [the scalar oracle](crate::KernelBackend::Scalar).
+    /// The vector backend's 8-lane AVX2 row body for columns `lo..hi`,
+    /// bit-identical to [the scalar oracle](crate::KernelBackend::Scalar)
+    /// without reference deletions.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2: only engines that
+    /// [`SdtwConfig::resolved_backend`] resolved to
+    /// [`KernelBackend::Vector`] call it, and that resolution checks the CPU.
+    /// The range must satisfy `1 <= lo`, `(hi - lo) % 8 == 0` and `hi <=`
+    /// the length of every slice.
+    #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
-    fn arch_row(
+    unsafe fn avx2_body(
         config: &SdtwConfig,
         reference: &[Self::Sample],
         q: Self::Sample,
@@ -99,12 +103,7 @@ pub trait SdtwLane: fmt::Debug + Clone + Copy + Send + Sync + 'static {
         out_row: &mut [Self::Cost],
         out_dwell: &mut [u32],
         out_starts: &mut [u32],
-    ) -> bool {
-        let _ = (
-            config, reference, q, lo, hi, row, dwell, starts, out_row, out_dwell, out_starts,
-        );
-        false
-    }
+    );
 }
 
 /// The accelerator's numeric domain: signed 8-bit fixed-point samples,
@@ -145,9 +144,9 @@ impl SdtwLane for IntLane {
         cost as f64
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn arch_row(
+    unsafe fn avx2_body(
         config: &SdtwConfig,
         reference: &[i8],
         q: i8,
@@ -159,32 +158,21 @@ impl SdtwLane for IntLane {
         out_row: &mut [i32],
         out_dwell: &mut [u32],
         out_starts: &mut [u32],
-    ) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe {
-                avx2::int_row(
-                    config.distance,
-                    config.match_bonus,
-                    reference,
-                    q,
-                    lo,
-                    hi,
-                    row,
-                    dwell,
-                    starts,
-                    out_row,
-                    out_dwell,
-                    out_starts,
-                );
-            }
-            return true;
-        }
-        let _ = (
-            config, reference, q, lo, hi, row, dwell, starts, out_row, out_dwell, out_starts,
-        );
-        false
+    ) {
+        avx2::int_row(
+            config.distance,
+            config.match_bonus,
+            reference,
+            q,
+            lo,
+            hi,
+            row,
+            dwell,
+            starts,
+            out_row,
+            out_dwell,
+            out_starts,
+        )
     }
 }
 
@@ -223,9 +211,9 @@ impl SdtwLane for FloatLane {
         cost as f64
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn arch_row(
+    unsafe fn avx2_body(
         config: &SdtwConfig,
         reference: &[f32],
         q: f32,
@@ -237,32 +225,21 @@ impl SdtwLane for FloatLane {
         out_row: &mut [f32],
         out_dwell: &mut [u32],
         out_starts: &mut [u32],
-    ) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe {
-                avx2::float_row(
-                    config.distance,
-                    config.match_bonus,
-                    reference,
-                    q,
-                    lo,
-                    hi,
-                    row,
-                    dwell,
-                    starts,
-                    out_row,
-                    out_dwell,
-                    out_starts,
-                );
-            }
-            return true;
-        }
-        let _ = (
-            config, reference, q, lo, hi, row, dwell, starts, out_row, out_dwell, out_starts,
-        );
-        false
+    ) {
+        avx2::float_row(
+            config.distance,
+            config.match_bonus,
+            reference,
+            q,
+            lo,
+            hi,
+            row,
+            dwell,
+            starts,
+            out_row,
+            out_dwell,
+            out_starts,
+        )
     }
 }
 
@@ -275,7 +252,7 @@ pub trait SdtwKernel: fmt::Debug + Send + Sync {
     fn config(&self) -> &SdtwConfig;
     /// Number of reference samples (DP columns).
     fn reference_len(&self) -> usize;
-    /// The resolved row-update backend (never [`KernelBackend::Auto`]).
+    /// The row-update backend this kernel runs (see [`Sdtw::backend`]).
     fn backend(&self) -> KernelBackend;
     /// Starts a streaming alignment.
     fn start(&self) -> Box<dyn SdtwStream + '_>;
@@ -316,7 +293,8 @@ pub trait SdtwStream: fmt::Debug {
 pub struct Sdtw<L: SdtwLane> {
     config: SdtwConfig,
     reference: Vec<L::Sample>,
-    vectorized: bool,
+    /// Resolved once here; rows never re-decide.
+    backend: KernelBackend,
 }
 
 /// Integer (8-bit fixed-point) subsequence-DTW aligner — the accelerator's
@@ -373,14 +351,14 @@ impl<L: SdtwLane> Sdtw<L> {
             u32::try_from(reference.len()).is_ok(),
             "reference signal longer than u32::MAX samples"
         );
-        let vectorized = config.resolved_backend() == KernelBackend::Vector;
+        let backend = config.resolved_backend();
         crate::telemetry::metrics()
             .kernel_backend
-            .set(u64::from(vectorized));
+            .set(u64::from(backend == KernelBackend::Vector));
         Sdtw {
             config,
             reference,
-            vectorized,
+            backend,
         }
     }
 
@@ -394,13 +372,10 @@ impl<L: SdtwLane> Sdtw<L> {
         &self.reference
     }
 
-    /// The resolved row-update backend (never [`KernelBackend::Auto`]).
+    /// The row-update backend this engine runs, as resolved by
+    /// [`SdtwConfig::resolved_backend`] when it was built.
     pub fn backend(&self) -> KernelBackend {
-        if self.vectorized {
-            KernelBackend::Vector
-        } else {
-            KernelBackend::Scalar
-        }
+        self.backend
     }
 
     /// Aligns a complete query, or returns `None` for an empty query.
@@ -584,8 +559,26 @@ impl<L: SdtwLane> KernelStream<'_, L> {
             self.scratch_dwell[j] = 1;
             self.scratch_starts[j] = j as u32;
         }
-        if self.engine.vectorized {
-            vector_row::<L>(
+        match self.engine.backend {
+            // SAFETY: `Sdtw::new` stored the backend `resolved_backend`
+            // chose, which is `Vector` only on a CPU with AVX2.
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Vector => unsafe {
+                vector_row::<L>(
+                    config,
+                    reference,
+                    q,
+                    lo,
+                    hi,
+                    &self.row,
+                    &self.dwell,
+                    &self.starts,
+                    &mut self.scratch_row,
+                    &mut self.scratch_dwell,
+                    &mut self.scratch_starts,
+                )
+            },
+            _ => scalar_row::<L>(
                 config,
                 reference,
                 q,
@@ -597,21 +590,7 @@ impl<L: SdtwLane> KernelStream<'_, L> {
                 &mut self.scratch_row,
                 &mut self.scratch_dwell,
                 &mut self.scratch_starts,
-            );
-        } else {
-            scalar_row::<L>(
-                config,
-                reference,
-                q,
-                lo,
-                hi,
-                &self.row,
-                &self.dwell,
-                &self.starts,
-                &mut self.scratch_row,
-                &mut self.scratch_dwell,
-                &mut self.scratch_starts,
-            );
+            ),
         }
         std::mem::swap(&mut self.row, &mut self.scratch_row);
         std::mem::swap(&mut self.dwell, &mut self.scratch_dwell);
@@ -783,17 +762,20 @@ fn scalar_row<L: SdtwLane>(
     // sf-lint: end-hot-path
 }
 
-/// The vectorized row update: the recurrence without reference deletions has
-/// no dependency between cells of the same row, so after the column-0 cell
-/// the row dispatches to [`SdtwLane::arch_row`] (an explicit AVX2 kernel on
-/// `x86_64`, runtime-detected) and otherwise falls back to a portable
-/// chunked loop: each block of [`VECTOR_CHUNK`] cells is computed in three
-/// branchless passes over pre-sliced equal-length windows — cost lanes
-/// (which also record the diagonal-vs-vertical choice in a stack mask),
-/// dwell lanes, then start lanes. Strict `<` select matches the scalar
-/// tie-breaking bit-for-bit on both paths.
+/// The vector backend's row update. Without reference deletions no cell of
+/// a row depends on another cell of the same row, so the row splits into
+/// three independent column ranges: column 0 (no diagonal predecessor) and
+/// the sub-8-cell tail go through [`scalar_row`], the largest multiple of 8
+/// cells in between through [`SdtwLane::avx2_body`]. Every cell outside the
+/// AVX2 body is computed by the oracle itself.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, which holds whenever the engine's backend
+/// resolved to [`KernelBackend::Vector`].
+#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-fn vector_row<L: SdtwLane>(
+unsafe fn vector_row<L: SdtwLane>(
     config: &SdtwConfig,
     reference: &[L::Sample],
     q: L::Sample,
@@ -808,93 +790,28 @@ fn vector_row<L: SdtwLane>(
 ) {
     // sf-lint: hot-path
     debug_assert!(!config.allow_reference_deletion);
-    let mut j = lo;
-    if j == 0 {
-        // Column 0 has no diagonal predecessor: vertical only.
-        let d = L::distance(config.distance, q, reference[0]);
-        out_row[0] = L::accumulate(row[0], d);
-        out_dwell[0] = dwell[0] + 1;
-        out_starts[0] = starts[0];
-        j = 1;
-    }
-    if j >= hi {
-        return;
-    }
-    if L::arch_row(
-        config, reference, q, j, hi, row, dwell, starts, out_row, out_dwell, out_starts,
-    ) {
-        return;
-    }
-    let metric = config.distance;
-    let bonus = config.match_bonus;
-    let mut take = [false; VECTOR_CHUNK];
-    while j < hi {
-        let end = (j + VECTOR_CHUNK).min(hi);
-        let n = end - j;
-        let take = &mut take[..n];
-        // Pass 1 — cost lanes: distance, bonus-adjusted diagonal, strict
-        // compare, select, accumulate.
-        {
-            let refs = &reference[j..end];
-            let vert = &row[j..end];
-            let diag = &row[j - 1..end - 1];
-            let diag_dwell = &dwell[j - 1..end - 1];
-            let out = &mut out_row[j..end];
-            match bonus {
-                Some(b) => {
-                    let per_sample = b.bonus_per_sample;
-                    let cap = b.dwell_cap;
-                    for i in 0..n {
-                        let d = L::distance(metric, q, refs[i]);
-                        let dg = L::subtract_bonus(diag[i], per_sample * diag_dwell[i].min(cap));
-                        let v = vert[i];
-                        let t = dg < v;
-                        take[i] = t;
-                        out[i] = L::accumulate(if t { dg } else { v }, d);
-                    }
-                }
-                None => {
-                    for i in 0..n {
-                        let d = L::distance(metric, q, refs[i]);
-                        let dg = diag[i];
-                        let v = vert[i];
-                        let t = dg < v;
-                        take[i] = t;
-                        out[i] = L::accumulate(if t { dg } else { v }, d);
-                    }
-                }
-            }
-        }
-        // Pass 2 — dwell lanes: a diagonal move starts a new dwell run.
-        {
-            let vert = &dwell[j..end];
-            let out = &mut out_dwell[j..end];
-            for i in 0..n {
-                out[i] = if take[i] { 1 } else { vert[i] + 1 };
-            }
-        }
-        // Pass 3 — start lanes: a diagonal move inherits the left column's
-        // alignment start.
-        {
-            let diag = &starts[j - 1..end - 1];
-            let vert = &starts[j..end];
-            let out = &mut out_starts[j..end];
-            for i in 0..n {
-                out[i] = if take[i] { diag[i] } else { vert[i] };
-            }
-        }
-        j = end;
-    }
+    let body_lo = lo.max(1).min(hi);
+    let body_hi = body_lo + (hi - body_lo) / 8 * 8;
+    scalar_row::<L>(
+        config, reference, q, lo, body_lo, row, dwell, starts, out_row, out_dwell, out_starts,
+    );
+    L::avx2_body(
+        config, reference, q, body_lo, body_hi, row, dwell, starts, out_row, out_dwell, out_starts,
+    );
+    scalar_row::<L>(
+        config, reference, q, body_hi, hi, row, dwell, starts, out_row, out_dwell, out_starts,
+    );
     // sf-lint: end-hot-path
 }
 
-/// Explicit AVX2 row updates (8 × 32-bit lanes), runtime-dispatched from
-/// [`SdtwLane::arch_row`]. Bit-exactness with the scalar oracle is the
+/// Explicit AVX2 row bodies (8 × 32-bit lanes), reached through
+/// [`SdtwLane::avx2_body`]. Bit-exactness with the scalar oracle is the
 /// contract: saturating i32 arithmetic is emulated lane-wise with the exact
-/// overflow semantics of `i32::saturating_add`/`saturating_sub`, the strict
-/// `<` diagonal-vs-vertical select maps to `vpcmpgtd`/`vcmpltps` (ordered,
-/// quiet — ties and NaNs fall back to the vertical move, like the scalar
-/// code), and the tail cells run the identical per-cell math in scalar form.
+/// overflow semantics of `i32::saturating_add`/`saturating_sub`, and the
+/// strict `<` diagonal-vs-vertical select maps to `vpcmpgtd`/`vcmpltps`
+/// (ordered, quiet — ties and NaNs fall back to the vertical move, like the
+/// scalar code). The bodies cover whole 8-cell blocks only; [`vector_row`]
+/// hands column 0 and the tail to [`scalar_row`].
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use crate::config::{DistanceMetric, MatchBonus};
@@ -938,8 +855,9 @@ mod avx2 {
         sat_sub_epi32(diag, _mm256_mullo_epi32(bps, _mm256_min_epu32(dw, cap)))
     }
 
-    /// AVX2 integer row update for columns `lo..hi` (`lo >= 1`); bit-exact
-    /// with [`super::scalar_row`] without reference deletions.
+    /// AVX2 integer row body for columns `lo..hi` (`lo >= 1`, a whole
+    /// number of 8-cell blocks); bit-exact with [`super::scalar_row`]
+    /// without reference deletions.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn int_row(
@@ -957,7 +875,7 @@ mod avx2 {
         out_starts: &mut [u32],
     ) {
         // sf-lint: hot-path
-        debug_assert!(lo >= 1 && hi <= row.len());
+        debug_assert!(lo >= 1 && (hi - lo) % 8 == 0 && hi <= row.len());
         let qv = _mm256_set1_epi32(q as i32);
         let ones = _mm256_set1_epi32(1);
         let squared = matches!(metric, DistanceMetric::Squared);
@@ -1005,24 +923,12 @@ mod avx2 {
             );
             j += 8;
         }
-        // Tail: the identical per-cell math, one cell at a time.
-        for j in j..hi {
-            let d = metric.eval_i8(q, reference[j]);
-            let mut diag = row[j - 1];
-            if let Some(b) = bonus {
-                diag = diag.saturating_sub(b.bonus_for_dwell(dwell[j - 1]) as i32);
-            }
-            let vert = row[j];
-            let take = diag < vert;
-            out_row[j] = if take { diag } else { vert }.saturating_add(d);
-            out_dwell[j] = if take { 1 } else { dwell[j] + 1 };
-            out_starts[j] = if take { starts[j - 1] } else { starts[j] };
-        }
         // sf-lint: end-hot-path
     }
 
-    /// AVX2 float row update for columns `lo..hi` (`lo >= 1`); bit-exact
-    /// with [`super::scalar_row`] without reference deletions.
+    /// AVX2 float row body for columns `lo..hi` (`lo >= 1`, a whole
+    /// number of 8-cell blocks); bit-exact with [`super::scalar_row`]
+    /// without reference deletions.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn float_row(
@@ -1040,7 +946,7 @@ mod avx2 {
         out_starts: &mut [u32],
     ) {
         // sf-lint: hot-path
-        debug_assert!(lo >= 1 && hi <= row.len());
+        debug_assert!(lo >= 1 && (hi - lo) % 8 == 0 && hi <= row.len());
         let qv = _mm256_set1_ps(q);
         let ones = _mm256_set1_epi32(1);
         let sign_mask = _mm256_set1_ps(-0.0);
@@ -1086,19 +992,6 @@ mod avx2 {
                 _mm256_blendv_epi8(vert_st, diag_st, take_bits),
             );
             j += 8;
-        }
-        // Tail: the identical per-cell math, one cell at a time.
-        for j in j..hi {
-            let d = metric.eval_f32(q, reference[j]);
-            let mut diag = row[j - 1];
-            if let Some(b) = bonus {
-                diag -= b.bonus_for_dwell(dwell[j - 1]) as f32;
-            }
-            let vert = row[j];
-            let take = diag < vert;
-            out_row[j] = if take { diag } else { vert } + d;
-            out_dwell[j] = if take { 1 } else { dwell[j] + 1 };
-            out_starts[j] = if take { starts[j - 1] } else { starts[j] };
         }
         // sf-lint: end-hot-path
     }
@@ -1149,58 +1042,80 @@ mod tests {
         assert_eq!(a.best(), b.best());
     }
 
+    /// Reference lengths 1..=17 reach column-0-only rows, rows shorter than
+    /// one 8-cell block and every tail length 0–7; the radii reach windows of
+    /// 1, 3 and 7 cells clipped at either edge of the reference.
+    fn split_cases(long: usize) -> Vec<(usize, Band)> {
+        let bands = [
+            Band::Full,
+            Band::SakoeChiba { radius: 0 },
+            Band::SakoeChiba { radius: 1 },
+            Band::SakoeChiba { radius: 3 },
+        ];
+        (1..=17)
+            .chain([long])
+            .flat_map(|n| bands.map(|band| (n, band)))
+            .collect()
+    }
+
     #[test]
     fn vector_backend_is_bit_identical_to_scalar_int() {
-        let reference = reference_i8(257, 7);
         let query = reference_i8(190, 99);
-        for config in configs() {
-            let scalar = IntSdtw::new(
-                config.with_backend(KernelBackend::Scalar),
-                reference.clone(),
-            );
-            let vector = IntSdtw::new(
-                config.with_backend(KernelBackend::Vector),
-                reference.clone(),
-            );
-            assert_eq!(vector.backend(), KernelBackend::Vector, "config {config:?}");
-            let mut s = scalar.stream();
-            let mut v = vector.stream();
-            for &q in &query {
-                s.push(q);
-                v.push(q);
-                assert_streams_identical(&s, &v);
+        for (n, band) in split_cases(257) {
+            let reference = reference_i8(n, 7);
+            for config in configs() {
+                let config = config.with_band(band);
+                let scalar = IntSdtw::new(
+                    config.with_backend(KernelBackend::Scalar),
+                    reference.clone(),
+                );
+                let vector = IntSdtw::new(
+                    config.with_backend(KernelBackend::Vector),
+                    reference.clone(),
+                );
+                assert_eq!(vector.backend(), KernelBackend::Vector, "config {config:?}");
+                let mut s = scalar.stream();
+                let mut v = vector.stream();
+                for &q in &query {
+                    s.push(q);
+                    v.push(q);
+                    assert_streams_identical(&s, &v);
+                }
             }
         }
     }
 
     #[test]
     fn vector_backend_is_bit_identical_to_scalar_float() {
-        let reference = reference_f32(131, 17);
         let query = reference_f32(97, 3);
-        for config in configs() {
-            let scalar = FloatSdtw::new(
-                config.with_backend(KernelBackend::Scalar),
-                reference.clone(),
-            );
-            let vector = FloatSdtw::new(
-                config.with_backend(KernelBackend::Vector),
-                reference.clone(),
-            );
-            let mut s = scalar.stream();
-            let mut v = vector.stream();
-            for &q in &query {
-                s.push(q);
-                v.push(q);
-                assert_streams_identical(&s, &v);
+        for (n, band) in split_cases(131) {
+            let reference = reference_f32(n, 17);
+            for config in configs() {
+                let config = config.with_band(band);
+                let scalar = FloatSdtw::new(
+                    config.with_backend(KernelBackend::Scalar),
+                    reference.clone(),
+                );
+                let vector = FloatSdtw::new(
+                    config.with_backend(KernelBackend::Vector),
+                    reference.clone(),
+                );
+                let mut s = scalar.stream();
+                let mut v = vector.stream();
+                for &q in &query {
+                    s.push(q);
+                    v.push(q);
+                    assert_streams_identical(&s, &v);
+                }
             }
         }
     }
 
     #[test]
-    fn auto_resolves_vector_unless_deletions_are_allowed() {
+    fn vector_resolves_unless_deletions_are_allowed() {
         let reference = reference_i8(32, 1);
-        let auto = IntSdtw::new(SdtwConfig::hardware(), reference.clone());
-        assert_eq!(auto.backend(), KernelBackend::Vector);
+        let default = IntSdtw::new(SdtwConfig::hardware(), reference.clone());
+        assert_eq!(default.backend(), KernelBackend::Vector);
         let deletions = IntSdtw::new(
             SdtwConfig::hardware().with_reference_deletions(true),
             reference.clone(),

@@ -13,7 +13,7 @@
 //!   row-update selector.
 //! * [`kernel`] — the unified streaming subsequence-DTW engine: one generic
 //!   implementation behind the [`SdtwKernel`] / [`SdtwStream`] traits, with
-//!   scalar and vectorized backends and optional Sakoe–Chiba banding, in the
+//!   a scalar oracle and an AVX2 vector backend, optional Sakoe–Chiba banding, in the
 //!   floating-point and 8-bit fixed-point domains ([`FloatSdtw`] /
 //!   [`IntSdtw`]).
 //! * [`classifier`] — the streaming [`ReadClassifier`] API: per-read

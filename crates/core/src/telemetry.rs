@@ -26,9 +26,10 @@ pub const SDTW_DP_ROWS: &str = "sdtw.dp_rows";
 /// Counter: DP cells skipped by Sakoe–Chiba banding (0 under `Band::Full`).
 /// `dp_cells + band_cells_skipped` = rows × reference samples.
 pub const SDTW_BAND_CELLS_SKIPPED: &str = "sdtw.band_cells_skipped";
-/// Gauge: resolved row-update backend of the most recently constructed
-/// kernel (0 = scalar, 1 = vector). Set once per kernel construction, never
-/// from the hot path.
+/// Gauge: row-update backend of the most recently constructed kernel: 1
+/// only when its rows run the AVX2 body (vector requested, no reference
+/// deletions, AVX2 CPU), else 0 (scalar). Set once per kernel construction,
+/// never from the hot path.
 pub const SDTW_KERNEL_BACKEND: &str = "sdtw.kernel_backend";
 /// Counter: nanoseconds of session chunk time attributed to the DP phase
 /// (chunk wall-clock minus normalize-estimation and decision-scan time).

@@ -97,7 +97,7 @@ fn vector_loop_bad_catches_per_row_mask_and_lane_allocation() {
 #[test]
 fn vector_loop_good_is_clean() {
     // Stack take mask + pre-sliced lane windows + counters flushed outside
-    // the fence: the shape the core kernel's vector_row uses.
+    // the fence: a clean fenced chunked loop.
     assert_eq!(lint_fixture("vector_loop_good.rs"), Vec::new());
 }
 

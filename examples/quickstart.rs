@@ -74,16 +74,16 @@ fn main() {
         matrix.f1()
     );
 
-    // 5. The kernel surface: `Auto` (the default) resolves the row update to
-    //    the vectorized backend whenever reference deletions are off, and a
+    // 5. The kernel surface: `Vector` (the default) runs the AVX2 row update
+    //    whenever reference deletions are off and the CPU has AVX2, and a
     //    Sakoe–Chiba band evaluates only a window of DP columns re-centered
     //    on the best alignment's track each row. Banding is a verdict-level
     //    approximation: costs shift (out-of-band paths are lost) but a clear
     //    target read still lands far below threshold, for a fraction of the
     //    DP work. `sdtw.*` telemetry counters account for the saving. The
-    //    vectorized backend is the big software lever: the checked-in
-    //    BENCH_batch.json (200 reads x 8 kb, single thread) measures 4.593
-    //    reads/s scalar vs 51.599 reads/s vector — 11.2x.
+    //    vector backend is the big software lever: the checked-in
+    //    BENCH_batch.json (200 reads x 8 kb, single thread) measures 3.333
+    //    reads/s scalar vs 33.436 reads/s vector — 10.0x.
     let mut banded_config = FilterConfig::hardware(best.threshold);
     banded_config.sdtw = banded_config
         .sdtw
