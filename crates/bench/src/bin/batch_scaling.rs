@@ -30,8 +30,8 @@ use sf_metrics::ConfusionMatrix;
 use sf_pore_model::{KmerModel, ReferenceSquiggle};
 use sf_sched::{Arrival, MicroBatchConfig, SessionId, SessionScheduler};
 use sf_sdtw::{
-    calibrate_threshold, FilterConfig, KernelBackend, MultiStageConfig, MultiStageFilter,
-    ReadClassifier, SdtwConfig, Stage, StreamClassification,
+    calibrate_threshold, FilterConfig, KernelBackend, ReadClassifier, SquiggleFilter,
+    StreamClassification,
 };
 use sf_shard::{pan_viral_panel, panel_classifier, PanelConfig};
 use sf_sim::flowcell::{FlowCellConfig, FlowCellSimulator, ReadUntilPolicy};
@@ -105,7 +105,7 @@ struct SchedulerPoint {
 /// against that point's `reads_per_s` is an honest read on what
 /// interleaved chunks cost or save against whole-read arrivals.
 fn run_scheduler(
-    filter: &MultiStageFilter,
+    filter: &SquiggleFilter,
     squiggles: &[RawSquiggle],
     baseline_reads_per_s: f64,
 ) -> SchedulerPoint {
@@ -371,10 +371,7 @@ fn main() {
     // cost domain: single-stage scoring at the stage's prefix under the
     // identical rolling normalizer reproduces exactly the costs the staged
     // filter sees at that boundary.
-    let stage_prefixes = [1_000usize, 2_000];
-    let stage_min_tpr = [0.95, 0.90];
-    let mut stages = Vec::new();
-    for (&prefix, &min_tpr) in stage_prefixes.iter().zip(&stage_min_tpr) {
+    let stage_threshold = |prefix: usize, min_tpr: f64| {
         let stage_config = FilterConfig {
             normalizer,
             ..FilterConfig::hardware(f64::MAX)
@@ -382,21 +379,18 @@ fn main() {
         .with_prefix_samples(prefix);
         let scored = score_dataset(&dataset, stage_config, 0);
         let (target_costs, background_costs) = split_costs(&scored);
-        let threshold = calibrate_threshold(&target_costs, &background_costs)
+        calibrate_threshold(&target_costs, &background_costs)
             .threshold_for_tpr(min_tpr)
-            .map_or(f64::MAX, |p| p.threshold);
-        stages.push(Stage {
-            prefix_samples: prefix,
-            threshold,
-        });
-    }
-    let staged_config = MultiStageConfig {
-        sdtw: SdtwConfig::hardware(),
-        stages: stages.clone(),
-        normalizer,
+            .map_or(f64::MAX, |p| p.threshold)
     };
+    let staged_config = FilterConfig {
+        normalizer,
+        ..FilterConfig::two_stage(stage_threshold(1_000, 0.95), stage_threshold(2_000, 0.90))
+            .with_prefix_samples(2_000)
+    };
+    let stages = staged_config.stages();
     let reference = ReferenceSquiggle::from_genome(&model, &dataset.target_genome);
-    let filter = MultiStageFilter::new(&reference, staged_config.clone());
+    let filter = SquiggleFilter::new(&reference, staged_config);
 
     // Frozen-full-window single-stage baseline (the pre-rolling behaviour):
     // same dataset, default normalizer, best-F1 threshold. Costs only a
@@ -473,7 +467,7 @@ fn main() {
     }
 
     let stats = stats.expect("at least one sweep point ran");
-    let prefix_samples = stages.last().expect("two stages").prefix_samples;
+    let prefix_samples = staged_config.prefix_samples;
     println!();
     println!(
         "samples-to-decision: accept p50 {} / p95 {} ({} reads), reject p50 {} / p95 {} \
@@ -511,9 +505,9 @@ fn main() {
         ("scalar", KernelBackend::Scalar),
         ("vector", KernelBackend::Vector),
     ] {
-        let mut config = staged_config.clone();
+        let mut config = staged_config;
         config.sdtw = config.sdtw.with_backend(backend);
-        let backend_filter = MultiStageFilter::new(&reference, config);
+        let backend_filter = SquiggleFilter::new(&reference, config);
         let scheduler = SessionScheduler::new(MicroBatchConfig::default());
         let _ = scheduler.classify_batch(
             &backend_filter,
@@ -643,7 +637,7 @@ fn main() {
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     dataset: &Dataset,
-    config: &MultiStageConfig,
+    config: &FilterConfig,
     parallelism: usize,
     quick: bool,
     points: &[SweepPoint],
@@ -654,7 +648,7 @@ fn render_json(
     frozen_point: Option<&sf_sdtw::OperatingPoint>,
     telemetry: &Snapshot,
 ) -> String {
-    let last_stage = config.stages.last().expect("stages are non-empty");
+    let stages = config.stages();
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"batch_scaling\",");
@@ -665,14 +659,10 @@ fn render_json(
     let _ = writeln!(json, "    \"genome_bp\": {}", dataset.target_genome.len());
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"config\": {{");
-    let _ = writeln!(
-        json,
-        "    \"prefix_samples\": {},",
-        last_stage.prefix_samples
-    );
+    let _ = writeln!(json, "    \"prefix_samples\": {},", config.prefix_samples);
     let _ = writeln!(json, "    \"stages\": [");
-    for (i, stage) in config.stages.iter().enumerate() {
-        let comma = if i + 1 < config.stages.len() { "," } else { "" };
+    for (i, stage) in stages.iter().enumerate() {
+        let comma = if i + 1 < stages.len() { "," } else { "" };
         let _ = writeln!(
             json,
             "      {{ \"prefix_samples\": {}, \"threshold\": {:.3} }}{comma}",

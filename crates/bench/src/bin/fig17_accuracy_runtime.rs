@@ -4,14 +4,14 @@
 
 use sf_bench::{print_header, score_dataset};
 use sf_metrics::roc_curve;
-use sf_readuntil::runtime::{ClassifierPoint, RuntimeModel, SequencingParams};
+use sf_readuntil::runtime::{RuntimeModel, SequencingParams};
 use sf_sdtw::FilterConfig;
-use sf_sim::DatasetBuilder;
+use sf_sim::{DatasetBuilder, RatePolicy};
 
 fn run_for(name: &str, dataset: &sf_sim::Dataset, genome_length: usize) {
     println!("\n--- {name} ---");
     println!("a) accuracy (AUC / max F1) per prefix length:");
-    let mut best_points: Vec<(usize, ClassifierPoint)> = Vec::new();
+    let mut best_points: Vec<(usize, RatePolicy)> = Vec::new();
     for prefix in [1_000usize, 2_000, 4_000] {
         let samples = score_dataset(
             dataset,
@@ -27,7 +27,7 @@ fn run_for(name: &str, dataset: &sf_sim::Dataset, genome_length: usize) {
         if let Some(point) = curve.best_f1() {
             best_points.push((
                 prefix,
-                ClassifierPoint {
+                RatePolicy {
                     true_positive_rate: point.tpr(),
                     false_positive_rate: point.fpr(),
                     decision_prefix_samples: prefix,

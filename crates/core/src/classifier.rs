@@ -12,13 +12,12 @@
 //!   when the read ends early) into a [`StreamClassification`] whose
 //!   [`FilterVerdict`] is the binary resolved form.
 //!
-//! Implementors: [`crate::SquiggleFilter`] (single-stage sDTW with a sound
-//! early-reject bound), [`crate::MultiStageFilter`] (stage escalation as
-//! chunks accumulate), and `sf_align::MapperClassifier` (the basecall-and-map
-//! baseline). Consumers: `sf_sched::SessionScheduler` (interleaved chunk
+//! Implementors: [`crate::SquiggleFilter`] (sDTW with a sound early-reject
+//! bound, and stage escalation as chunks accumulate when it has an early
+//! stage) and `sf_align::MapperClassifier` (the basecall-and-map baseline). Consumers: `sf_sched::SessionScheduler` (interleaved chunk
 //! arrivals and whole-read batches, generic over any `ReadClassifier`),
 //! `sf_sim::FlowCellSimulator` (chunk-by-chunk ejection) and
-//! `sf_readuntil::ClassifierPoint::from_session_stats` (measured
+//! `sf_sim::RatePolicy::from_session_stats` (measured
 //! samples-to-decision distributions for the runtime model).
 
 use crate::filter::FilterVerdict;
@@ -276,10 +275,9 @@ impl<T: ReadClassifier + ?Sized> ReadClassifier for &T {
 // samples, and drains normalized samples through the session's per-sample
 // sink (which returns `true` to stop after a final decision). One shared
 // state machine is what keeps the staged session (`crate::FilterSession`,
-// behind both `SquiggleFilter` and `MultiStageFilter`) and the one-shot
-// `classify` loop bit-identical in how they normalize, the property the
-// streaming/one-shot parity tests pin down even when parameters drift
-// mid-read.
+// behind every `SquiggleFilter`) and the one-shot `classify` loop
+// bit-identical in how they normalize, the property the streaming/one-shot
+// parity tests pin down even when parameters drift mid-read.
 pub(crate) use sf_squiggle::normalize::CalibratingFeed;
 
 #[cfg(test)]

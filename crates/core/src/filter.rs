@@ -12,20 +12,18 @@
 //! 5. compares the best alignment cost against a threshold: cost above the
 //!    threshold ⇒ the read is not from the target virus ⇒ eject it.
 //!
-//! Multi-stage filtering (paper §4.6) is the general case: the accelerator
-//! carries its DP row across stage boundaries and thresholds at each one.
-//! A single-stage filter is one stage of it, so [`SquiggleFilter`] and
-//! [`MultiStageFilter`] are thin constructors over one staged engine and
-//! stream reads through one [`FilterSession`].
-//!
-//! [`MultiStageFilter`]: crate::MultiStageFilter
+//! Multi-stage filtering (paper §4.6) is an optional earlier, permissive
+//! decision point: [`FilterConfig::early_stage`] rejects at a shorter prefix,
+//! and the accelerator carries its DP row across the stage boundary to the
+//! final `prefix_samples`/`threshold` test. One staged engine backs both
+//! shapes, and every read streams through one [`FilterSession`].
 
 use crate::classifier::{
     CalibratingFeed, ClassifierSession, Decision, ReadClassifier, StreamClassification,
 };
 use crate::config::SdtwConfig;
 use crate::kernel::{FloatSdtw, IntSdtw, SdtwKernel, SdtwStream};
-use crate::multistage::{Stage, StagedClassification};
+use crate::multistage::Stage;
 use crate::result::SdtwResult;
 use crate::telemetry::{metrics, ChunkSpan, SessionStats};
 use sf_genome::Sequence;
@@ -51,16 +49,22 @@ impl FilterVerdict {
     }
 }
 
-/// The classification outcome for one read.
+/// The one-shot classification outcome for one read.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 #[must_use]
 pub struct Classification {
     /// Keep or eject.
     pub verdict: FilterVerdict,
-    /// The underlying alignment result.
+    /// Index of the stage that made the decision: the rejecting stage, or
+    /// the last stage the read reached for accepted reads. With an
+    /// [`FilterConfig::early_stage`], `0` is the early stage and `1` the
+    /// final one.
+    pub deciding_stage: usize,
+    /// Number of query samples that had been examined when the decision was
+    /// made — this is what determines how much sequencing time was spent.
+    pub samples_used: usize,
+    /// Alignment result at decision time.
     pub result: SdtwResult,
-    /// The threshold the cost was compared against.
-    pub threshold: f64,
 }
 
 /// Numeric precision of the filter datapath.
@@ -76,7 +80,9 @@ pub enum FilterPrecision {
     Float32,
 }
 
-/// Configuration of a single-stage filter.
+/// Configuration of a filter: the final decision at `prefix_samples` against
+/// `threshold`, optionally preceded by one earlier, permissive
+/// [`early_stage`](Self::early_stage).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FilterConfig {
     /// sDTW kernel configuration.
@@ -99,6 +105,11 @@ pub struct FilterConfig {
     /// is sound, early exit never changes a verdict — only how many samples
     /// (and therefore how much sequencing time) a reject costs.
     pub early_exit_interval: usize,
+    /// An earlier decision point (paper §4.6), tested before the
+    /// `prefix_samples`/`threshold` stage: reads whose cost exceeds its
+    /// threshold at its prefix are rejected there, survivors carry their DP
+    /// row on to the final stage. Its prefix must be below `prefix_samples`.
+    pub early_stage: Option<Stage>,
 }
 
 impl FilterConfig {
@@ -116,6 +127,7 @@ impl FilterConfig {
             threshold,
             normalizer: NormalizerConfig::default(),
             early_exit_interval: Self::DEFAULT_EARLY_EXIT_INTERVAL,
+            early_stage: None,
         }
     }
 
@@ -128,7 +140,55 @@ impl FilterConfig {
             threshold,
             normalizer: NormalizerConfig::default(),
             early_exit_interval: Self::DEFAULT_EARLY_EXIT_INTERVAL,
+            early_stage: None,
         }
+    }
+
+    /// The two-stage hardware configuration of the paper's example: a
+    /// permissive decision at 1000 samples and an aggressive one at 5000,
+    /// with streaming early exit off (stages reject only at their prefixes).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sf_sdtw::{FilterConfig, SquiggleFilter};
+    /// use sf_pore_model::{KmerModel, ReferenceSquiggle};
+    /// use sf_genome::random::random_genome;
+    /// use sf_squiggle::RawSquiggle;
+    ///
+    /// let model = KmerModel::synthetic_r94(0);
+    /// let genome = random_genome(1, 2_000);
+    /// let reference = ReferenceSquiggle::from_genome(&model, &genome);
+    /// let filter = SquiggleFilter::new(&reference, FilterConfig::two_stage(1.0e9, 1.0e9));
+    /// // A permissive threshold accepts everything after the final stage.
+    /// let read = RawSquiggle::new(vec![500; 6_000], 4_000.0);
+    /// let outcome = filter.classify(&read);
+    /// assert!(outcome.verdict.is_accept());
+    /// assert_eq!(outcome.deciding_stage, 1);
+    /// ```
+    pub fn two_stage(early_threshold: f64, late_threshold: f64) -> Self {
+        FilterConfig {
+            sdtw: SdtwConfig::hardware(),
+            precision: FilterPrecision::Int8,
+            prefix_samples: 5_000,
+            threshold: late_threshold,
+            normalizer: NormalizerConfig::default(),
+            early_exit_interval: 0,
+            early_stage: Some(Stage {
+                prefix_samples: 1_000,
+                threshold: early_threshold,
+            }),
+        }
+    }
+
+    /// The decision points in order: the early stage, if any, then the final
+    /// `prefix_samples`/`threshold` stage.
+    pub fn stages(&self) -> Vec<Stage> {
+        let last = Stage {
+            prefix_samples: self.prefix_samples,
+            threshold: self.threshold,
+        };
+        self.early_stage.into_iter().chain([last]).collect()
     }
 
     /// Sets the prefix length.
@@ -162,7 +222,7 @@ impl Default for FilterConfig {
     }
 }
 
-/// A single-stage SquiggleFilter bound to one target reference.
+/// A SquiggleFilter bound to one target reference.
 ///
 /// # Examples
 ///
@@ -183,20 +243,27 @@ pub struct SquiggleFilter {
 }
 
 impl SquiggleFilter {
-    /// Builds a filter from a pre-computed reference squiggle: a one-stage
-    /// engine deciding at `prefix_samples` against `threshold`.
+    /// Builds a filter from a pre-computed reference squiggle: a staged
+    /// engine deciding at the early stage, if any, then at `prefix_samples`
+    /// against `threshold`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the early stage's prefix is not below `prefix_samples`.
     pub fn new(reference: &ReferenceSquiggle, config: FilterConfig) -> Self {
-        let stage = Stage {
-            prefix_samples: config.prefix_samples,
-            threshold: config.threshold,
-        };
+        if let Some(early) = config.early_stage {
+            assert!(
+                early.prefix_samples < config.prefix_samples,
+                "stage prefixes must be strictly increasing"
+            );
+        }
         SquiggleFilter {
             engine: StagedEngine::new(
                 reference,
                 config.precision,
                 config.sdtw,
                 config.normalizer,
-                vec![stage],
+                config.stages(),
                 config.early_exit_interval,
             ),
             config,
@@ -237,21 +304,16 @@ impl SquiggleFilter {
         Some(self.engine.classify_normalized(query)?.result)
     }
 
-    /// Classifies a read: [`FilterVerdict::Accept`] when the alignment cost is
-    /// at or below the threshold.
+    /// Classifies a read, stopping at the first stage whose threshold the
+    /// alignment cost exceeds; [`FilterVerdict::Accept`] when it passes the
+    /// last stage the read reaches.
     ///
-    /// An empty squiggle is accepted (no evidence to eject — the safe
-    /// default, since false negatives lose target reads permanently).
+    /// An empty squiggle is accepted at stage 0 (no evidence to eject — the
+    /// safe default, since false negatives lose target reads permanently).
     pub fn classify(&self, squiggle: &RawSquiggle) -> Classification {
-        let outcome = self
-            .engine
+        self.engine
             .classify(squiggle.samples())
-            .unwrap_or(EMPTY_READ);
-        Classification {
-            verdict: outcome.verdict,
-            result: outcome.result,
-            threshold: self.config.threshold,
-        }
+            .unwrap_or(EMPTY_READ)
     }
 
     /// Number of DP cells evaluated per classified read (≈ the operation
@@ -281,7 +343,7 @@ impl ReadClassifier for SquiggleFilter {
 /// The outcome for an empty read: accepted at stage 0 on no samples (no
 /// evidence to eject — the safe default, since false negatives lose target
 /// reads permanently).
-pub(crate) const EMPTY_READ: StagedClassification = StagedClassification {
+pub(crate) const EMPTY_READ: Classification = Classification {
     verdict: FilterVerdict::Accept,
     deciding_stage: 0,
     samples_used: 0,
@@ -306,8 +368,8 @@ fn exceeds(cost: f64, threshold: f64) -> bool {
 
 /// The staged sDTW engine: the kernel, the normalizer, the stages (a
 /// cumulative `prefix_samples` and a `threshold` each) and the streaming
-/// early-reject interval. [`SquiggleFilter`] builds it with one stage,
-/// [`MultiStageFilter`](crate::MultiStageFilter) with several.
+/// early-reject interval. [`SquiggleFilter`] builds it with one stage, or
+/// two with a [`FilterConfig::early_stage`].
 #[derive(Debug, Clone)]
 pub(crate) struct StagedEngine {
     kernel: Box<dyn SdtwKernel>,
@@ -355,7 +417,7 @@ impl StagedEngine {
     /// One-shot staged classification of a raw read, or `None` for an empty
     /// read. `normalize_raw` runs the rolling re-estimation schedule the
     /// sessions' feed runs, which keeps the two paths bit-identical.
-    pub(crate) fn classify(&self, samples: &[u16]) -> Option<StagedClassification> {
+    pub(crate) fn classify(&self, samples: &[u16]) -> Option<Classification> {
         let prefix = &samples[..samples.len().min(self.budget())];
         self.classify_normalized(&self.normalizer.normalize_raw(prefix))
     }
@@ -365,7 +427,7 @@ impl StagedEngine {
     /// first reject, at the last stage, or where the query ends. The DP
     /// state carries across stages, so nothing is recomputed. Returns `None`
     /// when nothing was aligned.
-    pub(crate) fn classify_normalized(&self, query: &[f32]) -> Option<StagedClassification> {
+    pub(crate) fn classify_normalized(&self, query: &[f32]) -> Option<Classification> {
         let mut stream = self.kernel.start();
         let last = self.stages.len() - 1;
         for (index, stage) in self.stages.iter().enumerate() {
@@ -380,7 +442,7 @@ impl StagedEngine {
             } else {
                 continue;
             };
-            return Some(StagedClassification {
+            return Some(Classification {
                 verdict,
                 deciding_stage: index,
                 samples_used: until,
@@ -410,9 +472,8 @@ impl StagedEngine {
     }
 }
 
-/// A streaming classification of one read — the session behind both
-/// [`SquiggleFilter`] (one stage) and
-/// [`MultiStageFilter`](crate::MultiStageFilter).
+/// A streaming classification of one read — the session behind every
+/// [`SquiggleFilter`], with one stage or two.
 ///
 /// Raw samples are buffered until the normalizer's calibration window fills,
 /// then normalized incrementally (re-estimated over the trailing window every
@@ -420,13 +481,13 @@ impl StagedEngine {
 /// stream. At each stage's prefix the session rejects, escalates to the next
 /// stage or, on the last stage, accepts; between prefixes a sound
 /// early-reject bound against the current stage's threshold is checked every
-/// `early_exit_interval` samples (`MultiStageFilter` runs with it off). The
+/// `early_exit_interval` samples ([`FilterConfig::two_stage`] turns it off). The
 /// one-shot `classify` runs the same normalization and stage schedule, so any
 /// chunking of a read is bit-identical to it on the same prefix.
 ///
 /// No decision can fire before `calibration_window` raw samples have
 /// arrived: `samples_consumed` reports that arrival time, whereas
-/// [`StagedClassification::samples_used`] reports the deciding stage's DP
+/// [`Classification::samples_used`] reports the deciding stage's DP
 /// position. When ejection latency matters, configure a window no longer
 /// than the first decision point and a `recalibration_interval` below the
 /// prefix — rolling re-estimation recovers the accuracy a short *frozen*

@@ -19,13 +19,11 @@
 //! * [`classifier`] — the streaming [`ReadClassifier`] API: per-read
 //!   sessions making chunk-wise Accept/Reject/Wait [`Decision`]s, the
 //!   interface every classifier and every consumer in the workspace speaks.
-//! * [`filter`] — the single-stage [`SquiggleFilter`] (normalize a read
-//!   prefix, align it, compare against a threshold; paper §4.5) and the
-//!   staged engine behind every sDTW filter: one [`FilterSession`] streams
-//!   reads for both filters, one staged loop backs both `classify` paths.
-//! * [`multistage`] — multi-stage filtering with carried-over DP state
-//!   (paper §4.6): the stage configuration and [`MultiStageFilter`], a
-//!   constructor over the staged engine.
+//! * [`filter`] — the [`SquiggleFilter`] (normalize a read prefix, align it,
+//!   compare against a threshold; paper §4.5) and the staged engine behind
+//!   it: an optional early stage with carried-over DP state (paper §4.6),
+//!   one [`FilterSession`] for streaming, one staged loop for `classify`.
+//! * [`multistage`] — the [`Stage`] of multi-stage filtering and its tests.
 //! * [`threshold`] — threshold calibration from labelled costs.
 //! * [`telemetry`] — metric names for the runtime instrumentation of all of
 //!   the above (chunk latency, DP cells, per-phase timing; see
@@ -83,6 +81,6 @@ pub use kernel::{
     FloatLane, FloatSdtw, FloatSdtwStream, IntLane, IntSdtw, IntSdtwStream, KernelStream, Sdtw,
     SdtwKernel, SdtwLane, SdtwStream,
 };
-pub use multistage::{MultiStageConfig, MultiStageFilter, Stage, StagedClassification};
+pub use multistage::Stage;
 pub use result::SdtwResult;
 pub use threshold::{calibrate_threshold, OperatingPoint, ThresholdSweep};

@@ -1,25 +1,19 @@
 //! Multi-stage sDTW filtering (paper §4.6).
 //!
 //! Waiting for a long read prefix makes classification more accurate but
-//! wastes sequencing time on non-target reads. The multi-stage filter gets
-//! the best of both: an early stage with a short prefix and a *permissive*
+//! wastes sequencing time on non-target reads. A two-stage filter gets the
+//! best of both: an early stage with a short prefix and a *permissive*
 //! threshold ejects the obviously-non-target reads after only ~1000 samples,
-//! and later stages re-examine the survivors with longer prefixes and more
-//! aggressive thresholds. Intermediate DP state is carried between stages so
-//! nothing is recomputed — exactly what the accelerator does by spilling the
-//! last PE's costs to DRAM.
+//! and the final stage re-examines the survivors with a longer prefix and a
+//! more aggressive threshold. Intermediate DP state is carried between
+//! stages so nothing is recomputed — exactly what the accelerator does by
+//! spilling the last PE's costs to DRAM.
 //!
-//! This module holds the stage configuration; the staged engine and its
-//! [`FilterSession`] live in [`crate::filter`], shared with the single-stage
-//! [`crate::SquiggleFilter`].
-
-use crate::classifier::{ClassifierSession, ReadClassifier};
-use crate::config::SdtwConfig;
-use crate::filter::{FilterPrecision, FilterSession, FilterVerdict, StagedEngine, EMPTY_READ};
-use crate::result::SdtwResult;
-use sf_pore_model::ReferenceSquiggle;
-use sf_squiggle::normalize::NormalizerConfig;
-use sf_squiggle::RawSquiggle;
+//! This module holds the [`Stage`] type. A filter gains its early stage
+//! through [`FilterConfig::early_stage`](crate::FilterConfig::early_stage)
+//! ([`FilterConfig::two_stage`](crate::FilterConfig::two_stage) is the
+//! paper's example); the staged engine and its
+//! [`FilterSession`](crate::FilterSession) live in [`crate::filter`].
 
 /// One filtering stage: examine `prefix_samples` of the read and reject it if
 /// the alignment cost exceeds `threshold`.
@@ -31,156 +25,15 @@ pub struct Stage {
     pub threshold: f64,
 }
 
-/// Outcome of a multi-stage classification.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct StagedClassification {
-    /// Final verdict.
-    pub verdict: FilterVerdict,
-    /// Index of the stage that made the decision (rejecting stage, or the
-    /// last stage for accepted reads).
-    pub deciding_stage: usize,
-    /// Number of query samples that had been examined when the decision was
-    /// made — this is what determines how much sequencing time was spent.
-    pub samples_used: usize,
-    /// Alignment result at decision time.
-    pub result: SdtwResult,
-}
-
-/// Configuration of the multi-stage filter.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MultiStageConfig {
-    /// The sDTW kernel configuration (shared by all stages).
-    pub sdtw: SdtwConfig,
-    /// The stages, in increasing `prefix_samples` order.
-    pub stages: Vec<Stage>,
-    /// Query normalizer configuration.
-    pub normalizer: NormalizerConfig,
-}
-
-impl MultiStageConfig {
-    /// A two-stage configuration matching the paper's example: a permissive
-    /// decision at 1000 samples and an aggressive one at 5000 samples.
-    pub fn two_stage(early_threshold: f64, late_threshold: f64) -> Self {
-        MultiStageConfig {
-            sdtw: SdtwConfig::hardware(),
-            stages: vec![
-                Stage {
-                    prefix_samples: 1_000,
-                    threshold: early_threshold,
-                },
-                Stage {
-                    prefix_samples: 5_000,
-                    threshold: late_threshold,
-                },
-            ],
-            normalizer: NormalizerConfig::default(),
-        }
-    }
-
-    /// Validates that stages are non-empty and strictly increasing in prefix
-    /// length.
-    fn validate(&self) {
-        assert!(!self.stages.is_empty(), "at least one stage is required");
-        for pair in self.stages.windows(2) {
-            assert!(
-                pair[1].prefix_samples > pair[0].prefix_samples,
-                "stage prefixes must be strictly increasing"
-            );
-        }
-    }
-}
-
-/// The multi-stage SquiggleFilter (8-bit integer datapath).
-///
-/// # Examples
-///
-/// ```
-/// use sf_sdtw::{MultiStageConfig, MultiStageFilter};
-/// use sf_pore_model::{KmerModel, ReferenceSquiggle};
-/// use sf_genome::random::random_genome;
-/// use sf_squiggle::RawSquiggle;
-///
-/// let model = KmerModel::synthetic_r94(0);
-/// let genome = random_genome(1, 2_000);
-/// let reference = ReferenceSquiggle::from_genome(&model, &genome);
-/// let filter = MultiStageFilter::new(&reference, MultiStageConfig::two_stage(1.0e9, 1.0e9));
-/// // A permissive threshold accepts everything after the final stage.
-/// let read = RawSquiggle::new(vec![500; 6_000], 4_000.0);
-/// let outcome = filter.classify(&read);
-/// assert!(outcome.verdict.is_accept());
-/// assert_eq!(outcome.deciding_stage, 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MultiStageFilter {
-    config: MultiStageConfig,
-    engine: StagedEngine,
-}
-
-impl MultiStageFilter {
-    /// Builds a multi-stage filter over a pre-computed reference squiggle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stage list is empty or not strictly increasing.
-    pub fn new(reference: &ReferenceSquiggle, config: MultiStageConfig) -> Self {
-        config.validate();
-        // Early reject off (interval 0): stages reject only at their
-        // prefixes. The per-stage bound would change when rejects fire,
-        // which needs its own measurement.
-        let engine = StagedEngine::new(
-            reference,
-            FilterPrecision::Int8,
-            config.sdtw,
-            config.normalizer,
-            config.stages.clone(),
-            0,
-        );
-        MultiStageFilter { config, engine }
-    }
-
-    /// The stage configuration.
-    pub fn config(&self) -> &MultiStageConfig {
-        &self.config
-    }
-
-    /// Number of reference samples scanned per stage evaluation.
-    pub fn reference_samples(&self) -> usize {
-        self.engine.reference_samples()
-    }
-
-    /// Classifies a read, stopping at the first stage whose threshold is
-    /// exceeded. An empty squiggle is accepted at stage 0.
-    pub fn classify(&self, squiggle: &RawSquiggle) -> StagedClassification {
-        self.engine
-            .classify(squiggle.samples())
-            .unwrap_or(EMPTY_READ)
-    }
-
-    /// Opens a streaming session: chunks accumulate, and each stage's
-    /// keep-or-eject test fires the moment its prefix is reached (the
-    /// concrete type behind [`ReadClassifier::start_read`]).
-    pub fn session(&self) -> FilterSession<'_> {
-        self.engine.session()
-    }
-}
-
-impl ReadClassifier for MultiStageFilter {
-    fn start_read(&self) -> Box<dyn ClassifierSession + '_> {
-        Box::new(self.session())
-    }
-
-    fn max_decision_samples(&self) -> usize {
-        self.engine.budget()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::Decision;
+    use crate::classifier::{ClassifierSession, Decision, ReadClassifier};
+    use crate::filter::{FilterConfig, FilterVerdict, SquiggleFilter};
     use sf_genome::random::random_genome;
     use sf_genome::Sequence;
-    use sf_pore_model::KmerModel;
+    use sf_pore_model::{KmerModel, ReferenceSquiggle};
+    use sf_squiggle::RawSquiggle;
 
     fn noiseless_squiggle(model: &KmerModel, fragment: &Sequence) -> RawSquiggle {
         model.expected_raw_squiggle(fragment, 10, &sf_pore_model::AdcModel::default())
@@ -194,24 +47,17 @@ mod tests {
     }
 
     /// Midpoint between a target and a background read's costs when both are
-    /// scored by a single-stage multistage filter at `prefix_samples` — i.e.
-    /// calibrated in the exact cost domain that stage will see.
+    /// scored by a single-stage filter at `prefix_samples` — i.e. calibrated
+    /// in the exact cost domain that stage will see.
     fn midpoint_threshold(
         reference: &ReferenceSquiggle,
         target: &RawSquiggle,
         background: &RawSquiggle,
         prefix_samples: usize,
     ) -> f64 {
-        let probe = MultiStageFilter::new(
+        let probe = SquiggleFilter::new(
             reference,
-            MultiStageConfig {
-                sdtw: SdtwConfig::hardware(),
-                stages: vec![Stage {
-                    prefix_samples,
-                    threshold: f64::MAX,
-                }],
-                normalizer: NormalizerConfig::default(),
-            },
+            FilterConfig::hardware(f64::MAX).with_prefix_samples(prefix_samples),
         );
         let t_cost = probe.classify(target).result.cost;
         let b_cost = probe.classify(background).result.cost;
@@ -237,8 +83,7 @@ mod tests {
         // across stages is covered by the end-to-end integration test) — this
         // test pins the staging mechanics themselves.
         let early = midpoint_threshold(&reference, &target, &background, 1_000);
-        let filter =
-            MultiStageFilter::new(&reference, MultiStageConfig::two_stage(early, f64::MAX));
+        let filter = SquiggleFilter::new(&reference, FilterConfig::two_stage(early, f64::MAX));
 
         let rejected = filter.classify(&background);
         assert_eq!(rejected.verdict, FilterVerdict::Reject);
@@ -258,16 +103,16 @@ mod tests {
     fn borderline_reads_survive_to_a_later_stage() {
         let (model, _genome, reference) = setup();
         let background = noiseless_squiggle(&model, &random_genome(78, 1_000));
-        let single = crate::filter::SquiggleFilter::new(
+        let single = SquiggleFilter::new(
             &reference,
-            crate::filter::FilterConfig::hardware(f64::MAX).with_prefix_samples(1_000),
+            FilterConfig::hardware(f64::MAX).with_prefix_samples(1_000),
         );
         let b_cost = single.score(&background).unwrap().cost;
         // Stage 0 is permissive (well above the background cost, with margin
         // for the slightly different normalization window), stage 1 rejects
         // everything.
-        let config = MultiStageConfig::two_stage(b_cost + 5_000.0, f64::NEG_INFINITY);
-        let filter = MultiStageFilter::new(&reference, config);
+        let config = FilterConfig::two_stage(b_cost + 5_000.0, f64::NEG_INFINITY);
+        let filter = SquiggleFilter::new(&reference, config);
         let outcome = filter.classify(&background);
         assert_eq!(outcome.verdict, FilterVerdict::Reject);
         assert_eq!(outcome.deciding_stage, 1);
@@ -277,8 +122,7 @@ mod tests {
     #[test]
     fn short_read_decides_on_available_samples() {
         let (_, _, reference) = setup();
-        let filter =
-            MultiStageFilter::new(&reference, MultiStageConfig::two_stage(f64::MAX, f64::MAX));
+        let filter = SquiggleFilter::new(&reference, FilterConfig::two_stage(f64::MAX, f64::MAX));
         // Only 1500 samples available, less than the stage-1 prefix of 5000.
         let read = RawSquiggle::new(vec![480; 1_500], 4_000.0);
         let outcome = filter.classify(&read);
@@ -289,7 +133,7 @@ mod tests {
     #[test]
     fn empty_read_is_accepted() {
         let (_, _, reference) = setup();
-        let filter = MultiStageFilter::new(&reference, MultiStageConfig::two_stage(1.0, 1.0));
+        let filter = SquiggleFilter::new(&reference, FilterConfig::two_stage(1.0, 1.0));
         let outcome = filter.classify(&RawSquiggle::new(Vec::new(), 4_000.0));
         assert!(outcome.verdict.is_accept());
         assert_eq!(outcome.samples_used, 0);
@@ -301,13 +145,12 @@ mod tests {
         // identical to a single-stage filter examining the same prefix.
         let (model, genome, reference) = setup();
         let target = noiseless_squiggle(&model, &genome.subsequence(500, 1_500));
-        let staged =
-            MultiStageFilter::new(&reference, MultiStageConfig::two_stage(f64::MAX, f64::MAX));
+        let staged = SquiggleFilter::new(&reference, FilterConfig::two_stage(f64::MAX, f64::MAX));
         let outcome = staged.classify(&target);
 
-        let single = crate::filter::SquiggleFilter::new(
+        let single = SquiggleFilter::new(
             &reference,
-            crate::filter::FilterConfig::hardware(f64::MAX).with_prefix_samples(5_000),
+            FilterConfig::hardware(f64::MAX).with_prefix_samples(5_000),
         );
         let expected = single.score(&target).unwrap();
         assert_eq!(outcome.result.cost, expected.cost);
@@ -320,9 +163,9 @@ mod tests {
         // 2000-sample calibration window. The stage-0 reject resolves in
         // finalize and must report the read's actual length, not the window.
         let (_, _, reference) = setup();
-        let filter = MultiStageFilter::new(
+        let filter = SquiggleFilter::new(
             &reference,
-            MultiStageConfig::two_stage(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            FilterConfig::two_stage(f64::NEG_INFINITY, f64::NEG_INFINITY),
         );
         let read = RawSquiggle::new(vec![480; 1_500], 4_000.0);
         let outcome = filter.classify_stream(&read);
@@ -338,9 +181,9 @@ mod tests {
         // accepts; the streaming session must not judge it against the
         // never-reached stage 1 (whose threshold here rejects everything).
         let (_, _, reference) = setup();
-        let filter = MultiStageFilter::new(
+        let filter = SquiggleFilter::new(
             &reference,
-            MultiStageConfig::two_stage(f64::MAX, f64::NEG_INFINITY),
+            FilterConfig::two_stage(f64::MAX, f64::NEG_INFINITY),
         );
         let read = RawSquiggle::new(vec![480; 1_000], 4_000.0);
         let want = filter.classify(&read);
@@ -361,20 +204,14 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn non_increasing_stages_panic() {
         let (_, _, reference) = setup();
-        let config = MultiStageConfig {
-            stages: vec![
-                Stage {
-                    prefix_samples: 2_000,
-                    threshold: 1.0,
-                },
-                Stage {
-                    prefix_samples: 1_000,
-                    threshold: 1.0,
-                },
-            ],
-            ..MultiStageConfig::two_stage(1.0, 1.0)
+        let config = FilterConfig {
+            early_stage: Some(Stage {
+                prefix_samples: 2_000,
+                threshold: 1.0,
+            }),
+            ..FilterConfig::two_stage(1.0, 1.0).with_prefix_samples(1_000)
         };
-        let _ = MultiStageFilter::new(&reference, config);
+        let _ = SquiggleFilter::new(&reference, config);
     }
 
     #[test]
@@ -388,8 +225,7 @@ mod tests {
             4_000.0,
         );
         let early = midpoint_threshold(&reference, &target, &background, 1_000);
-        let filter =
-            MultiStageFilter::new(&reference, MultiStageConfig::two_stage(early, f64::MAX));
+        let filter = SquiggleFilter::new(&reference, FilterConfig::two_stage(early, f64::MAX));
         for squiggle in [&target, &background] {
             let want = filter.classify(squiggle);
             for chunk_size in [1usize, 333, 4_096] {
@@ -420,8 +256,7 @@ mod tests {
     #[test]
     fn streaming_short_and_empty_reads_match_classify() {
         let (_, _, reference) = setup();
-        let filter =
-            MultiStageFilter::new(&reference, MultiStageConfig::two_stage(f64::MAX, f64::MAX));
+        let filter = SquiggleFilter::new(&reference, FilterConfig::two_stage(f64::MAX, f64::MAX));
         let short = RawSquiggle::new(vec![480; 1_500], 4_000.0);
         let want = filter.classify(&short);
         let got = filter.classify_stream(&short);
@@ -434,16 +269,5 @@ mod tests {
         let outcome = empty.finalize();
         assert_eq!(outcome.verdict, FilterVerdict::Accept);
         assert_eq!(outcome.samples_consumed, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stage")]
-    fn empty_stages_panic() {
-        let (_, _, reference) = setup();
-        let config = MultiStageConfig {
-            stages: Vec::new(),
-            ..MultiStageConfig::two_stage(1.0, 1.0)
-        };
-        let _ = MultiStageFilter::new(&reference, config);
     }
 }

@@ -106,9 +106,7 @@ pub fn evaluate_threshold(
     background_costs: &[f64],
 ) -> OperatingPoint {
     let tp = target_costs.iter().filter(|&&c| c <= threshold).count() as f64;
-    let fn_ = target_costs.len() as f64 - tp;
     let fp = background_costs.iter().filter(|&&c| c <= threshold).count() as f64;
-    let tn = background_costs.len() as f64 - fp;
     let tpr = if target_costs.is_empty() {
         0.0
     } else {
@@ -126,7 +124,6 @@ pub fn evaluate_threshold(
     } else {
         0.0
     };
-    let _ = (fn_, tn);
     OperatingPoint {
         threshold,
         true_positive_rate: tpr,

@@ -13,10 +13,11 @@
 //! # Example
 //!
 //! ```
-//! use sf_readuntil::runtime::{ClassifierPoint, RuntimeModel};
+//! use sf_readuntil::runtime::RuntimeModel;
+//! use sf_sim::RatePolicy;
 //!
 //! let model = RuntimeModel::default();
-//! let speedup = model.speedup(ClassifierPoint::oracle(2_000));
+//! let speedup = model.speedup(RatePolicy::oracle(2_000));
 //! assert!(speedup > 1.0);
 //! ```
 
@@ -31,5 +32,5 @@ pub use analysis::{
     compute_breakdown, scalability_curve, throughput_growth, ComputeBreakdown,
     ScalabilityClassifier, ScalabilityPoint, ThroughputPoint,
 };
-pub use runtime::{ClassifierPoint, RuntimeEstimate, RuntimeModel, SequencingParams};
+pub use runtime::{RuntimeEstimate, RuntimeModel, SequencingParams};
 pub use service::{run_service, ServiceConfig, ServiceReport};

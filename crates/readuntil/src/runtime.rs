@@ -8,12 +8,13 @@
 //! saves time because non-target reads occupy a pore only for the decision
 //! prefix instead of their full length.
 //!
-//! Operating points can be entered by hand, taken from a ROC sweep, or —
-//! via [`ClassifierPoint::from_session_stats`] — measured directly from
-//! streaming classification sessions, so the model consumes real
-//! samples-to-decision distributions instead of nominal prefixes.
+//! Operating points ([`RatePolicy`], shared with the flow-cell simulator)
+//! can be entered by hand, taken from a ROC sweep, or — via
+//! [`RatePolicy::from_session_stats`] — measured directly from streaming
+//! classification sessions, so the model consumes real samples-to-decision
+//! distributions instead of nominal prefixes.
 
-use sf_sdtw::StreamClassification;
+use sf_sim::RatePolicy;
 
 /// Parameters of a sequencing run.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -47,92 +48,6 @@ impl Default for SequencingParams {
             viral_fraction: 0.01,
             genome_length: 29_903,
             target_coverage: 30.0,
-        }
-    }
-}
-
-/// A classifier operating point as seen by the runtime model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ClassifierPoint {
-    /// Fraction of target reads kept.
-    pub true_positive_rate: f64,
-    /// Fraction of background reads kept (sequenced in full unnecessarily).
-    pub false_positive_rate: f64,
-    /// Read prefix (in signal samples) required before a decision.
-    pub decision_prefix_samples: usize,
-    /// Additional compute latency per decision, seconds.
-    pub decision_latency_s: f64,
-}
-
-impl ClassifierPoint {
-    /// A perfect instantaneous classifier deciding after `prefix` samples.
-    pub fn oracle(prefix: usize) -> Self {
-        ClassifierPoint {
-            true_positive_rate: 1.0,
-            false_positive_rate: 0.0,
-            decision_prefix_samples: prefix,
-            decision_latency_s: 0.0,
-        }
-    }
-
-    /// Derives an operating point from *measured* streaming sessions: pairs
-    /// of ground truth (`true` = target read) and the session's resolved
-    /// [`StreamClassification`].
-    ///
-    /// TPR/FPR come straight from the verdicts. The decision prefix is the
-    /// mean samples-to-decision over *ejected* reads — those are the reads
-    /// whose pore time the decision point determines (kept reads run to
-    /// completion regardless) — so sound early exits shorten the modelled
-    /// decision prefix exactly as they shorten real pore occupancy. With no
-    /// ejected reads it falls back to the longest observed decision.
-    ///
-    /// Degenerate inputs are safe: with no target reads the TPR defaults to
-    /// 1.0, with no background reads the FPR defaults to 0.0.
-    pub fn from_session_stats(
-        stats: &[(bool, StreamClassification)],
-        decision_latency_s: f64,
-    ) -> Self {
-        let mut targets = 0u64;
-        let mut kept_targets = 0u64;
-        let mut background = 0u64;
-        let mut kept_background = 0u64;
-        let mut ejected_samples = 0u64;
-        let mut ejected = 0u64;
-        let mut max_samples = 0usize;
-        for &(is_target, outcome) in stats {
-            let kept = outcome.verdict.is_accept();
-            if is_target {
-                targets += 1;
-                kept_targets += u64::from(kept);
-            } else {
-                background += 1;
-                kept_background += u64::from(kept);
-            }
-            if kept {
-                max_samples = max_samples.max(outcome.samples_consumed);
-            } else {
-                ejected += 1;
-                ejected_samples += outcome.samples_consumed as u64;
-            }
-        }
-        let decision_prefix_samples = if ejected > 0 {
-            (ejected_samples as f64 / ejected as f64).round() as usize
-        } else {
-            max_samples
-        };
-        ClassifierPoint {
-            true_positive_rate: if targets > 0 {
-                kept_targets as f64 / targets as f64
-            } else {
-                1.0
-            },
-            false_positive_rate: if background > 0 {
-                kept_background as f64 / background as f64
-            } else {
-                0.0
-            },
-            decision_prefix_samples,
-            decision_latency_s,
         }
     }
 }
@@ -184,17 +99,17 @@ impl RuntimeModel {
     /// Estimated runtime with Read Until at the given classifier operating
     /// point.
     #[must_use]
-    pub fn with_read_until(&self, classifier: ClassifierPoint) -> RuntimeEstimate {
+    pub fn with_read_until(&self, classifier: RatePolicy) -> RuntimeEstimate {
         self.estimate(Some(classifier))
     }
 
     /// Ratio of runtime without Read Until to runtime with it (>1 means Read
     /// Until helps).
-    pub fn speedup(&self, classifier: ClassifierPoint) -> f64 {
+    pub fn speedup(&self, classifier: RatePolicy) -> f64 {
         self.without_read_until().runtime_s / self.with_read_until(classifier).runtime_s
     }
 
-    fn estimate(&self, classifier: Option<ClassifierPoint>) -> RuntimeEstimate {
+    fn estimate(&self, classifier: Option<RatePolicy>) -> RuntimeEstimate {
         let p = &self.params;
         let full_read_time = p.mean_read_length / p.bases_per_second;
         // Time a pore spends on one read, split by read class.
@@ -237,7 +152,7 @@ impl RuntimeModel {
     /// Sweeps a set of classifier operating points (e.g. one per threshold of
     /// a ROC curve) and returns `(point, runtime_s)` pairs — the data behind
     /// Figure 17b/c.
-    pub fn sweep(&self, points: &[ClassifierPoint]) -> Vec<(ClassifierPoint, f64)> {
+    pub fn sweep(&self, points: &[RatePolicy]) -> Vec<(RatePolicy, f64)> {
         points
             .iter()
             .map(|&point| (point, self.with_read_until(point).runtime_s))
@@ -252,7 +167,7 @@ mod tests {
     #[test]
     fn read_until_is_faster_than_control() {
         let model = RuntimeModel::default();
-        let oracle = ClassifierPoint::oracle(2_000);
+        let oracle = RatePolicy::oracle(2_000);
         let speedup = model.speedup(oracle);
         assert!(speedup > 5.0, "speedup {speedup}");
         let with = model.with_read_until(oracle);
@@ -279,8 +194,8 @@ mod tests {
     #[test]
     fn false_negatives_hurt_runtime() {
         let model = RuntimeModel::default();
-        let perfect = ClassifierPoint::oracle(2_000);
-        let lossy = ClassifierPoint {
+        let perfect = RatePolicy::oracle(2_000);
+        let lossy = RatePolicy {
             true_positive_rate: 0.5,
             ..perfect
         };
@@ -293,8 +208,8 @@ mod tests {
     #[test]
     fn false_positives_waste_time_but_less_than_no_read_until() {
         let model = RuntimeModel::default();
-        let perfect = ClassifierPoint::oracle(2_000);
-        let leaky = ClassifierPoint {
+        let perfect = RatePolicy::oracle(2_000);
+        let leaky = RatePolicy {
             false_positive_rate: 0.3,
             ..perfect
         };
@@ -308,15 +223,15 @@ mod tests {
     #[test]
     fn decision_latency_penalizes_slow_classifiers() {
         let model = RuntimeModel::default();
-        let fast = ClassifierPoint::oracle(2_000);
+        let fast = RatePolicy::oracle(2_000);
         // Guppy-like: 1.25 s decision latency.
-        let slow = ClassifierPoint {
+        let slow = RatePolicy {
             decision_latency_s: 1.25,
             ..fast
         };
         assert!(model.with_read_until(slow).runtime_s > model.with_read_until(fast).runtime_s);
         // Longer decision prefixes also cost time.
-        let long_prefix = ClassifierPoint::oracle(10_000);
+        let long_prefix = RatePolicy::oracle(10_000);
         assert!(
             model.with_read_until(long_prefix).runtime_s > model.with_read_until(fast).runtime_s
         );
@@ -326,14 +241,14 @@ mod tests {
     fn enrichment_reflects_filtering() {
         let model = RuntimeModel::default();
         let control = model.without_read_until();
-        let filtered = model.with_read_until(ClassifierPoint::oracle(2_000));
+        let filtered = model.with_read_until(RatePolicy::oracle(2_000));
         assert!(filtered.target_fraction_of_bases() > control.target_fraction_of_bases() * 5.0);
         assert!(control.target_fraction_of_bases() < 0.02);
     }
 
     #[test]
     fn from_session_stats_measures_rates_and_prefix() {
-        use sf_sdtw::FilterVerdict;
+        use sf_sdtw::{FilterVerdict, StreamClassification};
 
         let outcome = |verdict: FilterVerdict, samples: usize, early: bool| StreamClassification {
             verdict,
@@ -354,7 +269,7 @@ mod tests {
             (false, outcome(FilterVerdict::Reject, 700, true)),
             (false, outcome(FilterVerdict::Reject, 1_800, false)),
         ];
-        let point = ClassifierPoint::from_session_stats(&stats, 0.001);
+        let point = RatePolicy::from_session_stats(&stats, 0.001);
         assert!((point.true_positive_rate - 2.0 / 3.0).abs() < 1e-12);
         assert!((point.false_positive_rate - 0.25).abs() < 1e-12);
         // Mean over the 4 ejected reads: (1000 + 500 + 700 + 1800) / 4.
@@ -367,7 +282,7 @@ mod tests {
 
     #[test]
     fn from_session_stats_handles_degenerate_inputs() {
-        let point = ClassifierPoint::from_session_stats(&[], 0.0);
+        let point = RatePolicy::from_session_stats(&[], 0.0);
         assert_eq!(point.true_positive_rate, 1.0);
         assert_eq!(point.false_positive_rate, 0.0);
         assert_eq!(point.decision_prefix_samples, 0);
@@ -376,8 +291,8 @@ mod tests {
     #[test]
     fn sweep_returns_one_runtime_per_point() {
         let model = RuntimeModel::default();
-        let points: Vec<ClassifierPoint> = (0..5)
-            .map(|i| ClassifierPoint {
+        let points: Vec<RatePolicy> = (0..5)
+            .map(|i| RatePolicy {
                 true_positive_rate: 0.8 + 0.05 * i as f64,
                 false_positive_rate: 0.05 * i as f64,
                 decision_prefix_samples: 2_000,

@@ -2,7 +2,7 @@
 //! order-invariant best-of merge.
 //!
 //! A [`ShardedClassifier`] holds one single-reference classifier per target
-//! (a [`sf_sdtw::SquiggleFilter`] or [`sf_sdtw::MultiStageFilter`] in the
+//! (a [`sf_sdtw::SquiggleFilter`], with or without an early stage, in the
 //! intended use), fans every read across the shards — batch and streaming
 //! paths both, since the fan-out itself implements [`ReadClassifier`] — and
 //! merges the per-shard outcomes into one best-of [`StreamClassification`]

@@ -21,13 +21,15 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sf_genome::Sequence;
 use sf_pore_model::KmerModel;
-use sf_sdtw::ReadClassifier;
+use sf_sdtw::{ReadClassifier, StreamClassification};
 use std::fmt;
 
 /// Rate-described Read Until policy: how good the classifier is and how long
-/// a decision takes, summarized by its confusion-matrix rates. `sf-readuntil`
-/// plugs in rates measured from the sDTW filter or the basecall+align
-/// baseline.
+/// a decision takes, summarized by its confusion-matrix rates — the
+/// classifier operating point both this simulator and the `sf-readuntil`
+/// runtime model consume. Rates come from the sDTW filter or the
+/// basecall+align baseline, by hand, from a ROC sweep or measured by
+/// [`RatePolicy::from_session_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RatePolicy {
     /// Probability that a target read is (correctly) kept.
@@ -50,6 +52,67 @@ impl RatePolicy {
             false_positive_rate: 0.0,
             decision_prefix_samples,
             decision_latency_s: 0.0,
+        }
+    }
+
+    /// Derives an operating point from *measured* streaming sessions: pairs
+    /// of ground truth (`true` = target read) and the session's resolved
+    /// [`StreamClassification`].
+    ///
+    /// TPR/FPR come straight from the verdicts. The decision prefix is the
+    /// mean samples-to-decision over *ejected* reads — those are the reads
+    /// whose pore time the decision point determines (kept reads run to
+    /// completion regardless) — so sound early exits shorten the modelled
+    /// decision prefix exactly as they shorten real pore occupancy. With no
+    /// ejected reads it falls back to the longest observed decision.
+    ///
+    /// Degenerate inputs are safe: with no target reads the TPR defaults to
+    /// 1.0, with no background reads the FPR defaults to 0.0.
+    pub fn from_session_stats(
+        stats: &[(bool, StreamClassification)],
+        decision_latency_s: f64,
+    ) -> Self {
+        let mut targets = 0u64;
+        let mut kept_targets = 0u64;
+        let mut background = 0u64;
+        let mut kept_background = 0u64;
+        let mut ejected_samples = 0u64;
+        let mut ejected = 0u64;
+        let mut max_samples = 0usize;
+        for &(is_target, outcome) in stats {
+            let kept = outcome.verdict.is_accept();
+            if is_target {
+                targets += 1;
+                kept_targets += u64::from(kept);
+            } else {
+                background += 1;
+                kept_background += u64::from(kept);
+            }
+            if kept {
+                max_samples = max_samples.max(outcome.samples_consumed);
+            } else {
+                ejected += 1;
+                ejected_samples += outcome.samples_consumed as u64;
+            }
+        }
+        let decision_prefix_samples = if ejected > 0 {
+            (ejected_samples as f64 / ejected as f64).round() as usize
+        } else {
+            max_samples
+        };
+        RatePolicy {
+            true_positive_rate: if targets > 0 {
+                kept_targets as f64 / targets as f64
+            } else {
+                1.0
+            },
+            false_positive_rate: if background > 0 {
+                kept_background as f64 / background as f64
+            } else {
+                0.0
+            },
+            decision_prefix_samples,
+            decision_latency_s,
         }
     }
 }
@@ -404,7 +467,6 @@ impl FlowCellSimulator {
                 let effective_bases =
                     ((end - t) * cfg.bases_per_second).min(sequenced_bases) as u64;
                 total_bases += effective_bases;
-                let start_idx = (t / sample_interval_s).ceil() as usize;
                 let end_idx = (end / sample_interval_s).floor() as usize;
                 // Record cumulative bases at the end of this read (attributed
                 // at completion for simplicity).
@@ -417,7 +479,6 @@ impl FlowCellSimulator {
                         *slot += effective_bases;
                     }
                 }
-                let _ = start_idx;
                 t = end;
                 // Pore blockage: probability grows with time spent
                 // sequencing this read, so control and Read Until arms wear

@@ -55,9 +55,9 @@ fn main() {
         &reference,
         FilterConfig::hardware(late.threshold).with_prefix_samples(5_000),
     );
-    let staged = MultiStageFilter::new(
+    let staged = SquiggleFilter::new(
         &reference,
-        MultiStageConfig::two_stage(early.threshold, late.threshold),
+        FilterConfig::two_stage(early.threshold, late.threshold),
     );
 
     let mut single_matrix = ConfusionMatrix::new();

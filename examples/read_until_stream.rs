@@ -129,12 +129,12 @@ fn main() {
     let late =
         mean_cost(&probe_5k, &target_reads) * 0.5 + mean_cost(&probe_5k, &background_reads) * 0.5;
     let reference = ReferenceSquiggle::from_genome(&model, &genome);
-    let staged = MultiStageFilter::new(
+    let staged = SquiggleFilter::new(
         &reference,
-        MultiStageConfig {
+        FilterConfig {
             sdtw: SdtwConfig::hardware_without_bonus(),
             normalizer,
-            ..MultiStageConfig::two_stage(early, late)
+            ..FilterConfig::two_stage(early, late)
         },
     );
     // Stage 0's permissive test fires at 1000 samples — the read is ejected
@@ -158,7 +158,7 @@ fn main() {
     for read in &background_reads {
         stats.push((false, filter.classify_stream(read)));
     }
-    let point = ClassifierPoint::from_session_stats(&stats, 0.0001);
+    let point = RatePolicy::from_session_stats(&stats, 0.0001);
     let speedup = RuntimeModel::default().speedup(point);
     println!(
         "measured operating point: TPR {:.2}, FPR {:.2}, {} samples/decision => {speedup:.1}x \

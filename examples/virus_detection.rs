@@ -6,7 +6,6 @@
 
 use squigglefilter::genome::strain::simulate_table2_strains;
 use squigglefilter::prelude::*;
-use squigglefilter::readuntil::runtime::{ClassifierPoint, RuntimeModel};
 use squigglefilter::sim::read::{ReadOrigin, ReadSimulator, ReadSimulatorConfig};
 use squigglefilter::variant::AssemblyResult;
 
@@ -32,7 +31,7 @@ fn main() {
         genome_length: reference.len(),
         ..Default::default()
     });
-    let operating_point = ClassifierPoint {
+    let operating_point = RatePolicy {
         true_positive_rate: 0.95,
         false_positive_rate: 0.1,
         decision_prefix_samples: 2_000,

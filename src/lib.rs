@@ -82,15 +82,15 @@ pub mod prelude {
     pub use sf_metrics::{roc_curve, ConfusionMatrix, ScoredSample};
     pub use sf_pore_model::{KmerModel, ReferenceSquiggle};
     pub use sf_readuntil::{
-        run_service, ClassifierPoint, RuntimeModel, SequencingParams, ServiceConfig, ServiceReport,
+        run_service, RuntimeModel, SequencingParams, ServiceConfig, ServiceReport,
     };
     pub use sf_sched::{
         Arrival, MicroBatchConfig, SchedulerReport, SessionId, SessionOutcome, SessionScheduler,
     };
     pub use sf_sdtw::{
         Band, ClassifierSession, Decision, FilterConfig, FilterVerdict, KernelBackend,
-        MultiStageConfig, MultiStageFilter, ReadClassifier, SdtwConfig, SdtwKernel, SdtwStream,
-        SessionState, SquiggleFilter, StreamClassification, TargetId,
+        ReadClassifier, SdtwConfig, SdtwKernel, SdtwStream, SessionState, SquiggleFilter,
+        StreamClassification, TargetId,
     };
     pub use sf_shard::{
         pan_viral_panel, panel_classifier, PanelConfig, PanelTarget, ShardedClassifier,

@@ -171,21 +171,14 @@ fn multistage_filter_matches_single_stage_accuracy_with_fewer_samples() {
     .threshold_for_tpr(0.95)
     .expect("a 95%-TPR threshold exists");
 
-    let staged = MultiStageFilter::new(
+    let staged = SquiggleFilter::new(
         &reference,
-        squigglefilter::sdtw::MultiStageConfig {
-            sdtw: SdtwConfig::hardware(),
-            stages: vec![
-                squigglefilter::sdtw::Stage {
-                    prefix_samples: 500,
-                    threshold: early.threshold,
-                },
-                squigglefilter::sdtw::Stage {
-                    prefix_samples: 2_000,
-                    threshold: late.threshold,
-                },
-            ],
-            normalizer: Default::default(),
+        FilterConfig {
+            early_stage: Some(squigglefilter::sdtw::Stage {
+                prefix_samples: 500,
+                threshold: early.threshold,
+            }),
+            ..FilterConfig::hardware(late.threshold)
         },
     );
     let mut matrix = ConfusionMatrix::new();

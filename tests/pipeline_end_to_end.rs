@@ -119,12 +119,13 @@ fn read_until_flowcell_enrichment_and_runtime_agree_in_direction() {
         ..Default::default()
     };
     let control = FlowCellSimulator::new(config.clone(), 5).run(None, 60.0);
-    let policy = ReadUntilPolicy::Rates(RatePolicy {
+    let rates = RatePolicy {
         true_positive_rate: 0.95,
         false_positive_rate: 0.1,
         decision_prefix_samples: 2_000,
         decision_latency_s: 0.0001,
-    });
+    };
+    let policy = ReadUntilPolicy::Rates(rates);
     let filtered = FlowCellSimulator::new(config, 5).run(Some(&policy), 60.0);
     assert!(filtered.target_base_fraction() > control.target_base_fraction() * 3.0);
 
@@ -132,11 +133,6 @@ fn read_until_flowcell_enrichment_and_runtime_agree_in_direction() {
         viral_fraction: 0.02,
         ..Default::default()
     });
-    let speedup = runtime.speedup(ClassifierPoint {
-        true_positive_rate: 0.95,
-        false_positive_rate: 0.1,
-        decision_prefix_samples: 2_000,
-        decision_latency_s: 0.0001,
-    });
+    let speedup = runtime.speedup(rates);
     assert!(speedup > 2.0, "analytical speedup {speedup}");
 }

@@ -200,13 +200,15 @@ fn rolling_recalibration_stays_bit_identical_on_drifting_baselines() {
     // rejected read's cost at that stage's prefix (junk at stage 0,
     // background at stage 1), so stage-0 rejects and escalations both run.
     let reference = ReferenceSquiggle::from_genome(&model, &genome);
-    let staged = |stages: Vec<Stage>| {
-        MultiStageFilter::new(
+    let staged = |early_stage: Option<Stage>, prefix_samples, threshold| {
+        SquiggleFilter::new(
             &reference,
-            MultiStageConfig {
-                sdtw: SdtwConfig::hardware(),
-                stages,
+            FilterConfig {
+                prefix_samples,
+                threshold,
                 normalizer,
+                early_stage,
+                ..FilterConfig::two_stage(f64::MAX, f64::MAX)
             },
         )
     };
@@ -216,12 +218,12 @@ fn rolling_recalibration_stays_bit_identical_on_drifting_baselines() {
     };
     let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
     let midpoint = |prefix_samples, kept: &RawSquiggle, rejected: &RawSquiggle| {
-        let probe = staged(vec![stage(prefix_samples, f64::MAX)]);
+        let probe = staged(None, prefix_samples, f64::MAX);
         (probe.classify(kept).result.cost + probe.classify(rejected).result.cost) / 2.0
     };
     let early = midpoint(1_000, &reads[0], &reads[3]);
     let late = midpoint(2_000, &reads[0], &reads[1]);
-    let filter = staged(vec![stage(1_000, early), stage(2_000, late)]);
+    let filter = staged(Some(stage(1_000, early)), 2_000, late);
     let outcomes: Vec<_> = reads.iter().map(|read| filter.classify(read)).collect();
     assert!(outcomes
         .iter()
@@ -249,15 +251,18 @@ fn rolling_recalibration_stays_bit_identical_on_drifting_baselines() {
 
 #[test]
 fn single_stage_filter_is_a_one_stage_staged_filter() {
-    // A single-stage filter is one stage of the staged engine: an Int8
-    // `SquiggleFilter` with early exit off and a one-stage `MultiStageFilter`
-    // at the same prefix, threshold and normalizer must agree on every field
-    // of every outcome, one-shot and streamed at every chunk size, under the
-    // default and the drifting w500/r250 normalizer.
+    // A single-stage filter is one stage of the staged engine: adding an
+    // early stage that never rejects (threshold MAX at 1000 samples) to an
+    // Int8 filter with early exit off must change nothing but which stage
+    // reports an accept. Every read here is longer than 1000 samples, so the
+    // early stage is reached and escalates; one-shot fields (except
+    // `deciding_stage`) and streamed outcomes at every chunk size must match
+    // under the default and the drifting w500/r250 normalizer.
     let model = KmerModel::synthetic_r94(0);
     let genome = squigglefilter::genome::random::random_genome(12, 2_500);
     let reference = ReferenceSquiggle::from_genome(&model, &genome);
     let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
+    assert!(reads.iter().all(|read| read.len() > 1_000));
     let drifting = NormalizerConfig::default()
         .with_calibration_window(500)
         .with_recalibration_interval(250);
@@ -270,22 +275,25 @@ fn single_stage_filter_is_a_one_stage_staged_filter() {
         let probe = SquiggleFilter::new(&reference, probe_config);
         let t = probe.score(&reads[0]).expect("target scores").cost;
         let b = probe.score(&reads[1]).expect("background scores").cost;
-        let threshold = (t + b) / 2.0;
-        let single = SquiggleFilter::new(&reference, probe_config.with_threshold(threshold));
-        let staged = MultiStageFilter::new(
+        let single_config = probe_config.with_threshold((t + b) / 2.0);
+        let single = SquiggleFilter::new(&reference, single_config);
+        let staged = SquiggleFilter::new(
             &reference,
-            MultiStageConfig {
-                sdtw: probe_config.sdtw,
-                stages: vec![Stage {
-                    prefix_samples: probe_config.prefix_samples,
-                    threshold,
-                }],
-                normalizer,
+            FilterConfig {
+                early_stage: Some(Stage {
+                    prefix_samples: 1_000,
+                    threshold: f64::MAX,
+                }),
+                ..single_config
             },
         );
         for (r, read) in reads.iter().enumerate() {
             let (one, many) = (single.classify(read), staged.classify(read));
             assert_eq!(one.verdict, many.verdict, "read {r}, {normalizer:?}");
+            assert_eq!(
+                one.samples_used, many.samples_used,
+                "read {r}, {normalizer:?}"
+            );
             assert_eq!(one.result, many.result, "read {r}, {normalizer:?}");
             for chunk_size in [1usize, 7, 512] {
                 let stream = |classifier: &dyn ReadClassifier| {
@@ -304,6 +312,98 @@ fn single_stage_filter_is_a_one_stage_staged_filter() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn staged_early_exit_rejects_before_the_stage_prefix_and_matches_one_shot() {
+    // Two stages with the streaming early-reject bound on (interval at its
+    // default): the bound is tested against the current stage's threshold,
+    // so an obvious junk read is ejected before even the early stage's
+    // 1000-sample prefix, and every verdict still matches the one-shot
+    // staged `classify`, at one chunk-invariant decision point.
+    let model = KmerModel::synthetic_r94(0);
+    let genome = squigglefilter::genome::random::random_genome(12, 2_500);
+    let normalizer = NormalizerConfig {
+        calibration_window: 500,
+        ..Default::default()
+    };
+    let early_prefix = 1_000;
+    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
+        // Bonus-free kernel: the early-reject bound is exact in both cost
+        // domains (see early_exit_verdicts_match_one_shot_and_are_chunk_invariant).
+        let probe_config = FilterConfig {
+            precision,
+            normalizer,
+            sdtw: SdtwConfig::hardware_without_bonus(),
+            ..FilterConfig::hardware(f64::MAX)
+        };
+        let reads = test_reads(&model, &genome);
+        let cost = |prefix_samples: usize, read: &RawSquiggle| {
+            let probe = SquiggleFilter::from_genome(
+                &model,
+                &genome,
+                probe_config.with_prefix_samples(prefix_samples),
+            );
+            probe.score(read).expect("read scores").cost
+        };
+        // Stage 0 sits between the target and the junk read at 1000
+        // samples; the final stage between the target and the background
+        // read at the full prefix.
+        let (t_early, junk_early) = (cost(early_prefix, &reads[0]), cost(early_prefix, &reads[3]));
+        assert!(
+            t_early < junk_early,
+            "{precision:?}: {t_early} vs {junk_early}"
+        );
+        let (t, b) = (
+            cost(probe_config.prefix_samples, &reads[0]),
+            cost(probe_config.prefix_samples, &reads[1]),
+        );
+        assert!(t < b, "{precision:?}: target {t} vs background {b}");
+        let config = FilterConfig {
+            early_stage: Some(Stage {
+                prefix_samples: early_prefix,
+                threshold: (t_early + junk_early) / 2.0,
+            }),
+            ..probe_config.with_threshold((t + b) / 2.0)
+        };
+        assert_eq!(
+            config.early_exit_interval,
+            FilterConfig::DEFAULT_EARLY_EXIT_INTERVAL
+        );
+        let filter = SquiggleFilter::from_genome(&model, &genome, config);
+        for (r, read) in reads.iter().enumerate() {
+            let want = filter.classify(read);
+            let reference = filter.classify_stream(read);
+            assert_eq!(reference.verdict, want.verdict, "read {r}, {precision:?}");
+            for chunk_size in [1usize, 7, 512] {
+                let mut session = filter.start_read();
+                for chunk in read.samples().chunks(chunk_size) {
+                    if session.push_chunk(chunk).is_final() {
+                        break;
+                    }
+                }
+                let got = session.finalize();
+                assert_eq!(
+                    got.verdict, want.verdict,
+                    "read {r}, chunk {chunk_size}, {precision:?}"
+                );
+                assert_eq!(
+                    got.samples_consumed, reference.samples_consumed,
+                    "read {r}, chunk {chunk_size}, {precision:?}"
+                );
+                assert_eq!(got.decided_early, reference.decided_early);
+            }
+        }
+        // The junk read is ejected early, before stage 0's own prefix.
+        let junk = filter.classify_stream(&reads[3]);
+        assert_eq!(junk.verdict, FilterVerdict::Reject, "{precision:?}");
+        assert!(junk.decided_early, "{precision:?}");
+        assert!(
+            junk.samples_consumed < early_prefix,
+            "{precision:?}: consumed {}",
+            junk.samples_consumed
+        );
     }
 }
 
@@ -381,7 +481,7 @@ fn batch_classifier_accepts_filter_and_multistage_through_the_trait() {
     let single_out = scheduler.classify_batch(&single, reads.iter().map(RawSquiggle::samples));
 
     let reference = ReferenceSquiggle::from_genome(&model, &genome);
-    let staged = MultiStageFilter::new(&reference, MultiStageConfig::two_stage(25_000.0, 60_000.0));
+    let staged = SquiggleFilter::new(&reference, FilterConfig::two_stage(25_000.0, 60_000.0));
     let staged_out = scheduler.classify_batch(&staged, reads.iter().map(RawSquiggle::samples));
 
     assert_eq!(single_out.len(), reads.len());
