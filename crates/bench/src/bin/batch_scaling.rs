@@ -24,7 +24,7 @@
 //! `--quick` shrinks the dataset so the sweep finishes in seconds (used by the
 //! CI bench-smoke job); the default size is meant for real measurements.
 
-use sf_bench::{print_header, score_dataset, split_costs};
+use sf_bench::{print_header, score_dataset};
 use sf_hw::perf::AcceleratorModel;
 use sf_metrics::ConfusionMatrix;
 use sf_pore_model::{KmerModel, ReferenceSquiggle};
@@ -377,8 +377,7 @@ fn main() {
             ..FilterConfig::hardware(f64::MAX)
         }
         .with_prefix_samples(prefix);
-        let scored = score_dataset(&dataset, stage_config, 0);
-        let (target_costs, background_costs) = split_costs(&scored);
+        let (target_costs, background_costs) = score_dataset(&dataset, stage_config, 0);
         calibrate_threshold(&target_costs, &background_costs)
             .threshold_for_tpr(min_tpr)
             .map_or(f64::MAX, |p| p.threshold)
@@ -396,8 +395,7 @@ fn main() {
     // same dataset, default normalizer, best-F1 threshold. Costs only a
     // scoring pass; the delta quantifies what the staged rolling
     // configuration trades for its latency.
-    let frozen_scored = score_dataset(&dataset, FilterConfig::hardware(f64::MAX), 0);
-    let (frozen_t, frozen_b) = split_costs(&frozen_scored);
+    let (frozen_t, frozen_b) = score_dataset(&dataset, FilterConfig::hardware(f64::MAX), 0);
     let frozen_point = calibrate_threshold(&frozen_t, &frozen_b).best_f1();
 
     let squiggles: Vec<RawSquiggle> = dataset.reads.iter().map(|r| r.squiggle.clone()).collect();

@@ -1,7 +1,7 @@
 //! Figure 11: sDTW alignment-cost distributions for viral vs human reads at
 //! three prefix lengths.
 
-use sf_bench::{print_header, score_dataset, split_costs};
+use sf_bench::{print_header, score_dataset};
 use sf_metrics::summary;
 use sf_sdtw::FilterConfig;
 use sf_sim::DatasetBuilder;
@@ -21,12 +21,11 @@ fn main() {
         "prefix", "viral mean", "viral p95", "human p5", "human mean", "overlap?"
     );
     for prefix in [1_000usize, 2_000, 4_000] {
-        let samples = score_dataset(
+        let (target, background) = score_dataset(
             &dataset,
             FilterConfig::hardware(f64::MAX).with_prefix_samples(prefix),
             0,
         );
-        let (target, background) = split_costs(&samples);
         let t = summary(&target);
         let b = summary(&background);
         println!(

@@ -3,9 +3,8 @@
 //! lambda-phage-like and SARS-CoV-2-like datasets.
 
 use sf_bench::{print_header, score_dataset};
-use sf_metrics::roc_curve;
 use sf_readuntil::runtime::{RuntimeModel, SequencingParams};
-use sf_sdtw::FilterConfig;
+use sf_sdtw::{calibrate_threshold, FilterConfig};
 use sf_sim::{DatasetBuilder, RatePolicy};
 
 fn run_for(name: &str, dataset: &sf_sim::Dataset, genome_length: usize) {
@@ -13,23 +12,24 @@ fn run_for(name: &str, dataset: &sf_sim::Dataset, genome_length: usize) {
     println!("a) accuracy (AUC / max F1) per prefix length:");
     let mut best_points: Vec<(usize, RatePolicy)> = Vec::new();
     for prefix in [1_000usize, 2_000, 4_000] {
-        let samples = score_dataset(
+        let (target, background) = score_dataset(
             dataset,
             FilterConfig::hardware(f64::MAX).with_prefix_samples(prefix),
             0,
         );
-        let curve = roc_curve(&samples);
+        let sweep = calibrate_threshold(&target, &background);
+        let best = sweep.best_f1();
         println!(
             "   prefix {prefix:>5}: AUC {:.3}  max F1 {:.3}",
-            curve.auc(),
-            curve.max_f1()
+            sweep.auc(),
+            best.map_or(0.0, |p| p.f1)
         );
-        if let Some(point) = curve.best_f1() {
+        if let Some(point) = best {
             best_points.push((
                 prefix,
                 RatePolicy {
-                    true_positive_rate: point.tpr(),
-                    false_positive_rate: point.fpr(),
+                    true_positive_rate: point.true_positive_rate,
+                    false_positive_rate: point.false_positive_rate,
                     decision_prefix_samples: prefix,
                     decision_latency_s: 0.00004,
                 },

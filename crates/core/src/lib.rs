@@ -67,6 +67,9 @@ mod kernel_float;
 mod kernel_int;
 pub mod multistage;
 pub mod result;
+// The ROC-curve test suite of the threshold sweep.
+#[cfg(test)]
+mod roc;
 pub mod telemetry;
 pub mod threshold;
 

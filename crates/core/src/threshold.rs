@@ -6,7 +6,10 @@
 //! paper notes it is "relatively robust across species and sequencing runs".
 //! This module sweeps candidate thresholds and reports the operating points,
 //! from which either the max-F1 threshold (Figure 18) or a
-//! sequencing-runtime-optimal threshold (Figure 17b/c) can be picked.
+//! sequencing-runtime-optimal threshold (Figure 17b/c) can be picked. The
+//! same sweep gives the accuracy figures' AUC (Figures 17a, 19).
+
+use sf_metrics::ConfusionMatrix;
 
 /// One candidate operating point of the filter.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -29,6 +32,16 @@ pub struct ThresholdSweep {
 }
 
 impl ThresholdSweep {
+    /// Area under the ROC curve of the sweep's (FPR, TPR) points, by the
+    /// trapezoid rule: 1 is perfect separation, 0.5 chance. 0 for fewer than
+    /// two points.
+    pub fn auc(&self) -> f64 {
+        self.points.windows(2).fold(0.0, |area, pair| {
+            let dx = pair[1].false_positive_rate - pair[0].false_positive_rate;
+            area + dx * (pair[0].true_positive_rate + pair[1].true_positive_rate) / 2.0
+        })
+    }
+
     /// The operating point with the highest F1 score (ties broken towards the
     /// lower threshold, i.e. fewer false positives).
     pub fn best_f1(&self) -> Option<OperatingPoint> {
@@ -73,6 +86,7 @@ impl ThresholdSweep {
 /// assert_eq!(best.true_positive_rate, 1.0);
 /// assert_eq!(best.false_positive_rate, 0.0);
 /// assert_eq!(best.f1, 1.0);
+/// assert_eq!(sweep.auc(), 1.0);
 /// ```
 pub fn calibrate_threshold(target_costs: &[f64], background_costs: &[f64]) -> ThresholdSweep {
     let mut candidates: Vec<f64> =
@@ -105,30 +119,17 @@ pub fn evaluate_threshold(
     target_costs: &[f64],
     background_costs: &[f64],
 ) -> OperatingPoint {
-    let tp = target_costs.iter().filter(|&&c| c <= threshold).count() as f64;
-    let fp = background_costs.iter().filter(|&&c| c <= threshold).count() as f64;
-    let tpr = if target_costs.is_empty() {
-        0.0
-    } else {
-        tp / target_costs.len() as f64
-    };
-    let fpr = if background_costs.is_empty() {
-        0.0
-    } else {
-        fp / background_costs.len() as f64
-    };
-    let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-    let recall = tpr;
-    let f1 = if precision + recall > 0.0 {
-        2.0 * precision * recall / (precision + recall)
-    } else {
-        0.0
-    };
+    let matrix = ConfusionMatrix::from_pairs(
+        target_costs
+            .iter()
+            .map(|&c| (true, c <= threshold))
+            .chain(background_costs.iter().map(|&c| (false, c <= threshold))),
+    );
     OperatingPoint {
         threshold,
-        true_positive_rate: tpr,
-        false_positive_rate: fpr,
-        f1,
+        true_positive_rate: matrix.true_positive_rate(),
+        false_positive_rate: matrix.false_positive_rate(),
+        f1: matrix.f1(),
     }
 }
 

@@ -1,9 +1,9 @@
 //! Seeded random genome generation.
 //!
 //! The paper evaluates on real lambda phage, SARS-CoV-2 and human reads. This
-//! reproduction replaces those datasets with simulated genomes (see
-//! DESIGN.md); the generators here are deterministic given a seed so that
-//! every experiment is reproducible.
+//! reproduction replaces those datasets with simulated genomes; the
+//! generators here are deterministic given a seed so that every experiment
+//! is reproducible.
 
 use crate::base::Base;
 use crate::sequence::Sequence;

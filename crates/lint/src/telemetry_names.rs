@@ -4,8 +4,8 @@
 //!
 //! Code side: metric names are `pub const NAME: &str = "subsystem.metric"`
 //! declarations in each instrumented crate's `telemetry.rs` module (the
-//! registry model documented in observability.md). Doc side: backtick-quoted
-//! names inside the `## Metric naming` section.
+//! registry model documented in `docs/observability.md`). Doc side:
+//! backtick-quoted names inside the `## Metric naming` section.
 
 use std::path::{Path, PathBuf};
 

@@ -1,4 +1,4 @@
-//! Histograms and summary statistics for cost distributions (Figure 11).
+//! Summary statistics of cost distributions (Figure 11).
 
 /// Summary statistics of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
@@ -48,100 +48,6 @@ pub fn summary(values: &[f64]) -> Summary {
     }
 }
 
-/// A fixed-width histogram over a numeric range.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Histogram {
-    min: f64,
-    max: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[min, max)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `max <= min`.
-    pub fn new(min: f64, max: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(max > min, "histogram range must be non-empty");
-        Histogram {
-            min,
-            max,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds a value.
-    pub fn add(&mut self, value: f64) {
-        if value < self.min {
-            self.underflow += 1;
-        } else if value >= self.max {
-            self.overflow += 1;
-        } else {
-            let bins = self.counts.len();
-            let bin = ((value - self.min) / (self.max - self.min) * bins as f64) as usize;
-            self.counts[bin.min(bins - 1)] += 1;
-        }
-    }
-
-    /// Adds every value from an iterator.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for value in values {
-            self.add(value);
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of values below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Number of values at or above the range maximum.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of values added, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The `(low, high)` edges of bin `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn bin_edges(&self, index: usize) -> (f64, f64) {
-        assert!(index < self.counts.len(), "bin index out of range");
-        let width = (self.max - self.min) / self.counts.len() as f64;
-        (
-            self.min + width * index as f64,
-            self.min + width * (index + 1) as f64,
-        )
-    }
-
-    /// Renders the histogram as rows of `low..high count` text (used by the
-    /// figure-generator binaries).
-    pub fn rows(&self) -> Vec<(f64, f64, u64)> {
-        (0..self.counts.len())
-            .map(|i| {
-                let (low, high) = self.bin_edges(i);
-                (low, high, self.counts[i])
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,30 +75,5 @@ mod tests {
         assert!(s.p5 < s.median && s.median < s.p95);
         assert!((s.p5 - 50.0).abs() <= 1.0);
         assert!((s.p95 - 949.0).abs() <= 1.5);
-    }
-
-    #[test]
-    fn histogram_bins_and_ranges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.extend([0.0, 1.9, 2.0, 5.5, 9.99, 10.0, -1.0]);
-        assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_edges(0), (0.0, 2.0));
-        assert_eq!(h.bin_edges(4), (8.0, 10.0));
-        assert_eq!(h.rows().len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_range_panics() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 }

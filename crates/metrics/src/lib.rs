@@ -1,30 +1,28 @@
 //! Classification metrics for the SquiggleFilter experiments.
 //!
-//! The accuracy experiments of the paper (Figures 11, 17a, 18, 19) are all
-//! built from the same ingredients: a set of scored, labelled reads, a
-//! threshold sweep producing TPR/FPR curves, F-scores, and cost histograms.
-//! This crate provides those ingredients without depending on any of the
-//! classifiers.
+//! A [`ConfusionMatrix`] counts a binary classifier's outcomes and defines
+//! its rates and F-scores once; `sf_sdtw::threshold` sweeps thresholds
+//! through it for the accuracy figures (17a, 18, 19) and for calibration.
+//! [`summary`] describes the cost distributions of Figure 11. This crate
+//! depends on none of the classifiers.
 //!
 //! # Example
 //!
 //! ```
-//! use sf_metrics::{roc_curve, ScoredSample};
+//! use sf_metrics::ConfusionMatrix;
 //!
-//! let samples = vec![
-//!     ScoredSample { score: 5.0, is_target: true },
-//!     ScoredSample { score: 50.0, is_target: false },
-//! ];
-//! assert_eq!(roc_curve(&samples).auc(), 1.0);
+//! // (is_target, kept) for four reads.
+//! let matrix = ConfusionMatrix::from_pairs([(true, true), (true, false), (false, false), (false, false)]);
+//! assert_eq!(matrix.true_positive_rate(), 0.5);
+//! assert_eq!(matrix.false_positive_rate(), 0.0);
+//! assert_eq!(matrix.accuracy(), 0.75);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod confusion;
-pub mod histogram;
-pub mod roc;
+mod confusion;
+mod histogram;
 
 pub use confusion::ConfusionMatrix;
-pub use histogram::{summary, Histogram, Summary};
-pub use roc::{roc_curve, RocCurve, RocPoint, ScoredSample};
+pub use histogram::{summary, Summary};

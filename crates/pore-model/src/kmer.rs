@@ -9,8 +9,7 @@
 //! The real table is proprietary-distribution (though freely downloadable), so
 //! this module can either load a table from the simple TSV format used by
 //! ONT's `kmer_models` repository or synthesize a statistically similar table
-//! deterministically from a seed (see DESIGN.md for the substitution
-//! rationale).
+//! deterministically from a seed.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

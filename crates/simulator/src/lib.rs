@@ -1,8 +1,7 @@
 //! Nanopore sequencing simulation for the SquiggleFilter reproduction.
 //!
 //! The paper's evaluation uses real MinION datasets and wet-lab experiments;
-//! this crate provides the simulated equivalents (see DESIGN.md for the
-//! substitution rationale):
+//! this crate provides seeded, reproducible simulated equivalents:
 //!
 //! * [`read`] — sampling reads (fragments) from target and background
 //!   genomes with realistic length distributions,

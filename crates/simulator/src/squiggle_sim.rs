@@ -1,7 +1,7 @@
 //! Squiggle synthesis: turning a DNA fragment into a realistic raw signal.
 //!
-//! This is the stand-in for real MinION FAST5 data (see DESIGN.md). For each
-//! k-mer position of a read the simulator:
+//! This is the stand-in for real MinION FAST5 data. For each k-mer position of
+//! a read the simulator:
 //!
 //! 1. draws a dwell time (number of samples) from a shifted-geometric
 //!    distribution around the configured samples-per-base, modelling the

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Checks that every relative markdown link in README.md, ROADMAP.md and
-# docs/*.md points at a file (or directory) that exists in the repository.
-# No network access: external (http/https/mailto) links and pure #anchors
-# are skipped. Exits non-zero listing every broken link.
+# docs/*.md points at a file (or directory) that exists in the repository,
+# and that every `*.md` path named in a Rust doc comment (`//!` or `///`)
+# under crates/, src/, tests/ and examples/ exists relative to the
+# repository root. No network access: external (http/https/mailto) links
+# and pure #anchors are skipped. Exits non-zero listing every broken link.
 #
 # Usage: scripts/check-doc-links.sh   (from the repository root)
 set -u
@@ -43,6 +45,17 @@ for doc in README.md ROADMAP.md docs/*.md; do
     fi
     check_file "$doc"
 done
+
+# Rust doc comments name documents by their repository-root path.
+while IFS=: read -r file line text; do
+    for path in $(grep -oE '[A-Za-z0-9_./-]+\.md\b' <<< "$text"); do
+        checked=$((checked + 1))
+        if [ ! -e "$path" ]; then
+            echo "BROKEN: $file:$line -> $path"
+            fail=1
+        fi
+    done
+done < <(grep -rnE --include='*.rs' '^[[:space:]]*//[/!]' crates src tests examples)
 
 if [ "$fail" -ne 0 ]; then
     echo "doc link check FAILED"

@@ -13,7 +13,7 @@
 //! | [`pore_model`] | `sf-pore-model` | k-mer current models, reference squiggles |
 //! | [`squiggle`] | `sf-squiggle` | signal containers, normalization, events |
 //! | [`sim`] | `sf-sim` | read/squiggle/flow-cell simulation |
-//! | [`sdtw`] | `sf-sdtw` | the SquiggleFilter itself (sDTW kernels, filters, thresholds) |
+//! | [`sdtw`] | `sf-sdtw` | the SquiggleFilter itself (sDTW kernels, filters, threshold sweeps and AUC) |
 //! | [`shard`] | `sf-shard` | sharded multi-target catalogs, best-of merging, pan-viral panels |
 //! | [`hw`] | `sf-hw` | cycle-level accelerator model, area/power/latency |
 //! | [`basecall`] | `sf-basecall` | HMM basecaller + Guppy GPU performance models |
@@ -21,7 +21,7 @@
 //! | [`variant`] | `sf-variant` | pileup consensus, SNP calling, assembly driver |
 //! | [`readuntil`] | `sf-readuntil` | sequencing-runtime model, Read Until service loop, analyses |
 //! | [`sched`] | `sf-sched` | cross-read micro-batched session scheduler (server-shaped engine) |
-//! | [`metrics`] | `sf-metrics` | confusion matrices, ROC sweeps, histograms |
+//! | [`metrics`] | `sf-metrics` | confusion matrices, summary statistics |
 //! | [`telemetry`] | `sf-telemetry` | runtime counters, latency histograms, registry snapshots |
 //!
 //! # Quick start
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use sf_basecall::{BasecallMode, BasecallerKind, GpuBasecallerModel, Platform};
     pub use sf_genome::{Base, Sequence};
     pub use sf_hw::{AcceleratorModel, Tile, TileConfig};
-    pub use sf_metrics::{roc_curve, ConfusionMatrix, ScoredSample};
+    pub use sf_metrics::ConfusionMatrix;
     pub use sf_pore_model::{KmerModel, ReferenceSquiggle};
     pub use sf_readuntil::{
         run_service, RuntimeModel, SequencingParams, ServiceConfig, ServiceReport,

@@ -5,32 +5,44 @@
 //! viral genomes) so they stay fast in debug builds; the full-size sweeps
 //! live in the `sf-bench` figure binaries.
 
-use squigglefilter::metrics::{roc_curve, ScoredSample};
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::FilterPrecision;
-use squigglefilter::sim::DatasetBuilder;
+use squigglefilter::sdtw::{calibrate_threshold, FilterPrecision, ThresholdSweep};
+use squigglefilter::sim::{Dataset, DatasetBuilder};
+
+/// Scores every read of a dataset with `filter`, returning
+/// `(target_costs, background_costs)`.
+fn score_reads(filter: &SquiggleFilter, dataset: &Dataset) -> (Vec<f64>, Vec<f64>) {
+    let mut target = Vec::new();
+    let mut background = Vec::new();
+    for item in &dataset.reads {
+        if let Some(result) = filter.score(&item.squiggle) {
+            if item.is_target() {
+                target.push(result.cost);
+            } else {
+                background.push(result.cost);
+            }
+        }
+    }
+    (target, background)
+}
 
 /// Scores every read of a dataset with the given filter configuration.
-fn score_dataset(
-    dataset: &squigglefilter::sim::Dataset,
-    config: FilterConfig,
-) -> Vec<ScoredSample> {
+fn score_dataset(dataset: &Dataset, config: FilterConfig) -> (Vec<f64>, Vec<f64>) {
     let model = KmerModel::synthetic_r94(0);
-    let filter = SquiggleFilter::from_genome(&model, &dataset.target_genome, config);
-    dataset
-        .reads
-        .iter()
-        .filter_map(|item| {
-            filter.score(&item.squiggle).map(|result| ScoredSample {
-                score: result.cost,
-                is_target: item.is_target(),
-            })
-        })
-        .collect()
+    score_reads(
+        &SquiggleFilter::from_genome(&model, &dataset.target_genome, config),
+        dataset,
+    )
+}
+
+/// The threshold sweep over a dataset's costs under `config`.
+fn sweep_dataset(dataset: &Dataset, config: FilterConfig) -> ThresholdSweep {
+    let (target, background) = score_dataset(dataset, config);
+    calibrate_threshold(&target, &background)
 }
 
 /// A small viral-vs-background dataset over an 8 kb target genome.
-fn small_dataset(seed: u64, reads_per_class: usize) -> squigglefilter::sim::Dataset {
+fn small_dataset(seed: u64, reads_per_class: usize) -> Dataset {
     let genome = squigglefilter::genome::random::GenomeGenerator::new(seed)
         .gc_content(0.42)
         .generate(8_000);
@@ -44,9 +56,13 @@ fn small_dataset(seed: u64, reads_per_class: usize) -> squigglefilter::sim::Data
 #[test]
 fn hardware_filter_separates_viral_from_background_reads() {
     let dataset = small_dataset(5, 20);
-    let samples = score_dataset(&dataset, FilterConfig::hardware(f64::MAX));
-    assert_eq!(samples.len(), 40, "every read gets a score");
-    let curve = roc_curve(&samples);
+    let (target, background) = score_dataset(&dataset, FilterConfig::hardware(f64::MAX));
+    assert_eq!(
+        target.len() + background.len(),
+        40,
+        "every read gets a score"
+    );
+    let curve = calibrate_threshold(&target, &background);
     // The simulator's dwell/noise/drift model is deliberately pessimistic, so
     // absolute separation is lower than on the clean figures; it must still be
     // clearly better than chance.
@@ -55,7 +71,8 @@ fn hardware_filter_separates_viral_from_background_reads() {
         "hardware-config sDTW should separate target from background (AUC {})",
         curve.auc()
     );
-    assert!(curve.max_f1() > 0.7, "max F1 {}", curve.max_f1());
+    let max_f1 = curve.best_f1().expect("non-empty sweep").f1;
+    assert!(max_f1 > 0.7, "max F1 {max_f1}");
 }
 
 #[test]
@@ -66,7 +83,7 @@ fn float_vanilla_filter_also_separates() {
         precision: FilterPrecision::Float32,
         ..FilterConfig::vanilla(f64::MAX)
     };
-    let curve = roc_curve(&score_dataset(&dataset, config));
+    let curve = sweep_dataset(&dataset, config);
     // Vanilla floating-point sDTW (squared distance, reference deletions) is
     // the weakest configuration on noisy simulated squiggles — the Figure 18
     // ablation explores this in detail; here we only require better than
@@ -82,14 +99,14 @@ fn longer_prefixes_improve_accuracy() {
     // genuinely hard genomes (repeat-heavy backgrounds) that sit below the
     // asserted floor.
     let dataset = small_dataset(33, 15);
-    let short = roc_curve(&score_dataset(
+    let short = sweep_dataset(
         &dataset,
         FilterConfig::hardware(f64::MAX).with_prefix_samples(500),
-    ));
-    let long = roc_curve(&score_dataset(
+    );
+    let long = sweep_dataset(
         &dataset,
         FilterConfig::hardware(f64::MAX).with_prefix_samples(2_000),
-    ));
+    );
     assert!(
         long.auc() >= short.auc() - 0.05,
         "longer prefixes should not hurt: short {} vs long {}",
@@ -116,20 +133,12 @@ fn filter_tolerates_strain_mutations() {
     );
     let stale =
         SquiggleFilter::from_genome(&model, &stale_reference, FilterConfig::hardware(f64::MAX));
-    let score_with = |filter: &SquiggleFilter| -> Vec<ScoredSample> {
-        dataset
-            .reads
-            .iter()
-            .filter_map(|item| {
-                filter.score(&item.squiggle).map(|r| ScoredSample {
-                    score: r.cost,
-                    is_target: item.is_target(),
-                })
-            })
-            .collect()
+    let auc_with = |filter: &SquiggleFilter| {
+        let (target, background) = score_reads(filter, &dataset);
+        calibrate_threshold(&target, &background).auc()
     };
-    let fresh_auc = roc_curve(&score_with(&fresh)).auc();
-    let stale_auc = roc_curve(&score_with(&stale)).auc();
+    let fresh_auc = auc_with(&fresh);
+    let stale_auc = auc_with(&stale);
     assert!(stale_auc > 0.65, "stale-reference AUC {stale_auc}");
     assert!(
         stale_auc > fresh_auc - 0.12,
@@ -145,28 +154,15 @@ fn multistage_filter_matches_single_stage_accuracy_with_fewer_samples() {
 
     // Calibrate a final-stage threshold from costs at 2000 samples, and a
     // permissive early threshold from costs at 500 samples.
-    let late_samples = score_dataset(
+    let late = sweep_dataset(
         &dataset,
         FilterConfig::hardware(f64::MAX).with_prefix_samples(2_000),
-    );
-    let (lt, lb): (Vec<ScoredSample>, Vec<ScoredSample>) =
-        late_samples.iter().partition(|s| s.is_target);
-    let late = squigglefilter::sdtw::calibrate_threshold(
-        &lt.iter().map(|s| s.score).collect::<Vec<_>>(),
-        &lb.iter().map(|s| s.score).collect::<Vec<_>>(),
     )
     .best_f1()
     .expect("non-empty sweep");
-
-    let early_samples = score_dataset(
+    let early = sweep_dataset(
         &dataset,
         FilterConfig::hardware(f64::MAX).with_prefix_samples(500),
-    );
-    let (et, eb): (Vec<ScoredSample>, Vec<ScoredSample>) =
-        early_samples.iter().partition(|s| s.is_target);
-    let early = squigglefilter::sdtw::calibrate_threshold(
-        &et.iter().map(|s| s.score).collect::<Vec<_>>(),
-        &eb.iter().map(|s| s.score).collect::<Vec<_>>(),
     )
     .threshold_for_tpr(0.95)
     .expect("a 95%-TPR threshold exists");

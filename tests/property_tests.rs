@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use squigglefilter::genome::{Base, PackedSequence, Sequence};
-use squigglefilter::sdtw::{FloatSdtw, IntSdtw, SdtwConfig};
+use squigglefilter::sdtw::{calibrate_threshold, FloatSdtw, IntSdtw, SdtwConfig};
 use squigglefilter::squiggle::normalize::{dequantize, quantize, Normalizer};
 
 const CASES: u64 = 64;
@@ -182,5 +182,50 @@ fn adding_query_samples_never_decreases_cost_without_bonus() {
             assert!(cost >= last - 1e-9);
             last = cost;
         }
+    });
+}
+
+#[test]
+fn sweep_auc_is_the_mann_whitney_statistic() {
+    for_each_case(12, |rng| {
+        // The kernels' cost types: integers (int8 lane) or f32 values (float
+        // lane), drawn from a narrow grid so ties within and across classes
+        // are common. Background is shifted up so the classes overlap.
+        let f32_grid = rng.random_bool(0.5);
+        let costs = |rng: &mut StdRng, shift: u32| -> Vec<f64> {
+            let len = rng.random_range(1usize..40);
+            (0..len)
+                .map(|_| {
+                    let k = rng.random_range(0u32..24) + shift;
+                    if f32_grid {
+                        f64::from(k as f32 * 0.37)
+                    } else {
+                        f64::from(k)
+                    }
+                })
+                .collect()
+        };
+        let target = costs(rng, 0);
+        let background = costs(rng, 6);
+        // P(t < b) + ½·P(t = b): a target read costs less than a background one.
+        let wins: f64 = target
+            .iter()
+            .flat_map(|t| background.iter().map(move |b| (t, b)))
+            .map(|(t, b)| {
+                if t < b {
+                    1.0
+                } else if t == b {
+                    0.5
+                } else {
+                    0.0
+                }
+            })
+            .sum();
+        let mann_whitney = wins / (target.len() * background.len()) as f64;
+        let auc = calibrate_threshold(&target, &background).auc();
+        assert!(
+            (auc - mann_whitney).abs() < 1e-12,
+            "AUC {auc} vs Mann-Whitney {mann_whitney}"
+        );
     });
 }
