@@ -34,7 +34,7 @@ use sf_sdtw::{
     StreamClassification,
 };
 use sf_shard::{pan_viral_panel, panel_classifier, PanelConfig};
-use sf_sim::flowcell::{FlowCellConfig, FlowCellSimulator, ReadUntilPolicy};
+use sf_sim::flowcell::{FlowCellConfig, FlowCellSimulator, RatePolicy};
 use sf_sim::read::{ReadOrigin, ReadSimulator, ReadSimulatorConfig};
 use sf_sim::squiggle_sim::{SquiggleSimulator, SquiggleSimulatorConfig};
 use sf_sim::{Dataset, DatasetBuilder};
@@ -589,8 +589,7 @@ fn main() {
         target_fraction: 0.05,
         ..Default::default()
     };
-    let _ =
-        FlowCellSimulator::new(flowcell_config, 7).run(Some(&ReadUntilPolicy::oracle(2_000)), 60.0);
+    let _ = FlowCellSimulator::new(flowcell_config, 7).run(Some(&RatePolicy::oracle(2_000)), 60.0);
 
     // Software vs modeled-ASIC throughput: the systolic array evaluates one
     // full reference row (reference_samples cells) per cycle, so its cell

@@ -3,7 +3,7 @@
 //! re-mux midway.
 
 use sf_bench::print_header;
-use sf_sim::{FlowCellConfig, FlowCellSimulator, RatePolicy, ReadUntilPolicy};
+use sf_sim::{FlowCellConfig, FlowCellSimulator, RatePolicy};
 
 fn main() {
     print_header(
@@ -19,12 +19,12 @@ fn main() {
         ..Default::default()
     };
     let control = FlowCellSimulator::new(config.clone(), 7).run(None, 600.0);
-    let policy = ReadUntilPolicy::Rates(RatePolicy {
+    let policy = RatePolicy {
         true_positive_rate: 0.95,
         false_positive_rate: 0.1,
         decision_prefix_samples: 2_000,
         decision_latency_s: 0.0001,
-    });
+    };
     let read_until = FlowCellSimulator::new(config, 7).run(Some(&policy), 600.0);
 
     println!(

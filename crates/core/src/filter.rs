@@ -298,12 +298,6 @@ impl SquiggleFilter {
         Some(self.engine.classify(squiggle.samples())?.result)
     }
 
-    /// Scores an already-normalized query (used by the ablation benches that
-    /// bypass the raw-signal path).
-    pub fn score_normalized(&self, query: &[f32]) -> Option<SdtwResult> {
-        Some(self.engine.classify_normalized(query)?.result)
-    }
-
     /// Classifies a read, stopping at the first stage whose threshold the
     /// alignment cost exceeds; [`FilterVerdict::Accept`] when it passes the
     /// last stage the read reaches.
@@ -792,15 +786,6 @@ mod tests {
             cost_rev < cost_bg,
             "reverse-strand read should match: {cost_rev} vs {cost_bg}"
         );
-    }
-
-    #[test]
-    fn score_normalized_accepts_prequantized_queries() {
-        let (filter, _, _) = small_filter(FilterPrecision::Int8, f64::MAX);
-        let query: Vec<f32> = (0..500).map(|i| ((i % 9) as f32 - 4.0) / 2.0).collect();
-        let result = filter.score_normalized(&query).unwrap();
-        assert_eq!(result.query_samples, 500);
-        assert!(filter.score_normalized(&[]).is_none());
     }
 
     #[test]

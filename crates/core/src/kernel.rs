@@ -39,11 +39,7 @@
 //! cells hold [`SdtwLane::SENTINEL`] and can never win a row minimum. The
 //! ping-pong row buffers track which interval of each buffer is in-band, so
 //! a row only resets the `O(radius)` stale cells its window uncovers —
-//! never the whole row. Banded streams stay resumable: [`KernelStream::restore`]
-//! re-derives the band center from the restored row (out-of-band sentinel
-//! cells are strictly worse than every in-band cost, so the argmin — and
-//! therefore every later decision — is identical to an unbroken run; the
-//! sentinel-range garbage outside the band is the only unspecified state).
+//! never the whole row.
 
 use crate::config::{Band, DistanceMetric, KernelBackend, SdtwConfig};
 use crate::result::SdtwResult;
@@ -440,9 +436,8 @@ impl<L: SdtwLane> SdtwKernel for Sdtw<L> {
 /// Streaming state of an in-progress alignment: one DP row plus per-column
 /// dwell counters and alignment-start bookkeeping.
 ///
-/// The row can be inspected and restored, which is how both multi-stage
-/// filtering (paper §4.6) and the accelerator's DRAM spill of intermediate
-/// costs (paper §5.1) are modelled.
+/// The row can be inspected; it is what the accelerator spills to DRAM
+/// between multi-stage filtering stages (paper §4.6, §5.1).
 #[derive(Debug, Clone)]
 pub struct KernelStream<'a, L: SdtwLane> {
     engine: &'a Sdtw<L>,
@@ -636,33 +631,6 @@ impl<L: SdtwLane> KernelStream<'_, L> {
     /// The per-column alignment start positions (column indices).
     pub fn starts(&self) -> &[u32] {
         &self.starts
-    }
-
-    /// Restores a previously saved DP row (plus dwell counters), modelling a
-    /// multi-stage resume from DRAM. Under banding the band center is
-    /// re-derived from the restored row's minimum-cost column, which matches
-    /// an unbroken run exactly (out-of-band sentinels never win an argmin).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not match the reference length.
-    pub fn restore(&mut self, row: &[L::Cost], dwell: &[u32], starts: &[u32], samples: usize) {
-        assert_eq!(row.len(), self.row.len(), "row length mismatch");
-        assert_eq!(dwell.len(), self.dwell.len(), "dwell length mismatch");
-        assert_eq!(starts.len(), self.starts.len(), "starts length mismatch");
-        self.row.copy_from_slice(row);
-        self.dwell.copy_from_slice(dwell);
-        self.starts.copy_from_slice(starts);
-        self.samples = samples;
-        let m = self.row.len();
-        self.row_win = (0, m);
-        // The scratch buffers may hold arbitrary pre-restore state: mark the
-        // whole buffer stale so the next push resets whatever its window
-        // does not overwrite.
-        self.scratch_win = (0, m);
-        if samples > 0 && self.engine.config.band.is_banded() {
-            self.center = argmin::<L>(&self.row, 0, m);
-        }
     }
 }
 
@@ -1184,35 +1152,6 @@ mod tests {
         );
         // Row 0 is always full; later rows evaluate at most 2r + 1 cells.
         assert!(stream.cells_evaluated() <= reference.len() as u64 + (query.len() as u64 - 1) * 49);
-    }
-
-    #[test]
-    fn banded_restore_matches_an_unbroken_banded_run() {
-        let reference = reference_i8(300, 41);
-        let query: Vec<i8> = reference[40..140].iter().flat_map(|&v| [v, v]).collect();
-        for radius in [8usize, 32, 64] {
-            let kernel = IntSdtw::new(
-                SdtwConfig::hardware().with_band(Band::SakoeChiba { radius }),
-                reference.clone(),
-            );
-            let mut unbroken = kernel.stream();
-            unbroken.extend(&query);
-
-            let mut first = kernel.stream();
-            first.extend(&query[..77]);
-            let (row, dwell, starts, n) = (
-                first.row().to_vec(),
-                first.dwell().to_vec(),
-                first.starts().to_vec(),
-                first.samples_processed(),
-            );
-            let mut second = kernel.stream();
-            second.restore(&row, &dwell, &starts, n);
-            second.extend(&query[77..]);
-            // Verdict-level parity: out-of-band cells may differ (both hold
-            // sentinel-range garbage), but the reported alignment must not.
-            assert_eq!(second.best(), unbroken.best(), "radius {radius}");
-        }
     }
 
     #[test]

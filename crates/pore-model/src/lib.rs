@@ -32,4 +32,4 @@ pub mod reference;
 
 pub use adc::AdcModel;
 pub use kmer::{KmerLevel, KmerModel, KmerModelError};
-pub use reference::{dequantize, quantize, ReferenceSquiggle, FIXED_POINT_RANGE};
+pub use reference::ReferenceSquiggle;

@@ -10,11 +10,14 @@
 
 use crate::kmer::KmerModel;
 use sf_genome::Sequence;
+use sf_squiggle::normalize::quantize;
 
 /// The pre-computed, normalized expected signal of a reference genome.
 ///
 /// Values are stored both as `f32` (software filter) and quantized to the
-/// signed 8-bit fixed-point domain used by the accelerator's reference buffer.
+/// signed 8-bit fixed-point domain used by the accelerator's reference buffer
+/// — by [`sf_squiggle::normalize::quantize`], the one quantizer queries go
+/// through too, so reference and queries share one format.
 ///
 /// # Examples
 ///
@@ -38,24 +41,6 @@ pub struct ReferenceSquiggle {
     reverse_quantized: Vec<i8>,
     genome_length: usize,
     k: usize,
-}
-
-/// Quantization used for the accelerator's 8-bit signal domain: normalized
-/// values are clamped to `[-4, 4]` and scaled to `[-127, 127]`.
-/// (Paper §5.3: "we use fixed-point values in the range \[-4, 4\]".)
-pub const FIXED_POINT_RANGE: f32 = 4.0;
-
-/// Quantizes a normalized (z-scored) value into the accelerator's signed
-/// 8-bit fixed-point domain.
-pub fn quantize(value: f32) -> i8 {
-    let clamped = value.clamp(-FIXED_POINT_RANGE, FIXED_POINT_RANGE);
-    (clamped / FIXED_POINT_RANGE * 127.0).round() as i8
-}
-
-/// Reverses a quantized value back to the normalized `f32` domain (used by
-/// tests and the hardware/software equivalence checks).
-pub fn dequantize(value: i8) -> f32 {
-    value as f32 / 127.0 * FIXED_POINT_RANGE
 }
 
 impl ReferenceSquiggle {
@@ -144,6 +129,7 @@ impl ReferenceSquiggle {
 mod tests {
     use super::*;
     use sf_genome::random::{lambda_like_genome, random_genome};
+    use sf_squiggle::normalize::dequantize;
 
     #[test]
     fn forward_and_reverse_have_equal_length() {
@@ -154,19 +140,6 @@ mod tests {
         assert_eq!(reference.forward().len(), 5_000 - 6 + 1);
         assert_eq!(reference.genome_length(), 5_000);
         assert_eq!(reference.k(), 6);
-    }
-
-    #[test]
-    fn quantize_clamps_and_round_trips() {
-        assert_eq!(quantize(0.0), 0);
-        assert_eq!(quantize(4.0), 127);
-        assert_eq!(quantize(-4.0), -127);
-        assert_eq!(quantize(10.0), 127);
-        assert_eq!(quantize(-10.0), -127);
-        for v in [-3.9f32, -1.2, 0.0, 0.5, 2.7, 3.99] {
-            let q = quantize(v);
-            assert!((dequantize(q) - v).abs() < 0.02, "{v} -> {q}");
-        }
     }
 
     #[test]

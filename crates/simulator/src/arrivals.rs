@@ -29,10 +29,9 @@ use sf_squiggle::RawSquiggle;
 /// Signal-synthesis parameters for building an [`ArrivalTrace`]: which
 /// genomes reads are drawn from and how their squiggles are synthesized.
 ///
-/// Mirrors the signal half of `ClassifierPolicy` without the classifier —
-/// the trace only needs `max_decision_samples` (the downstream classifier's
-/// decision budget) to bound how much of each read's signal is worth
-/// synthesizing.
+/// The trace is classifier-agnostic: it only needs `max_decision_samples`
+/// (the downstream classifier's decision budget) to bound how much of each
+/// read's signal is worth synthesizing.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Genome target reads are drawn from.
@@ -61,9 +60,9 @@ pub struct TraceRead {
     pub start_s: f64,
     /// Whether the read is a target (viral) read.
     pub is_target: bool,
-    /// Synthesized signal prefix — budget-limited, like the flow cell's
-    /// classifier arm: only as many bases as the decision budget (plus
-    /// dwell-variation slack) can consume are synthesized.
+    /// Synthesized signal prefix — budget-limited: only as many bases as the
+    /// decision budget (plus dwell-variation slack) can consume are
+    /// synthesized.
     pub squiggle: RawSquiggle,
     /// Raw samples the full read spans at the pore (may exceed the
     /// synthesized prefix; the pore would keep delivering signal past the
@@ -144,8 +143,7 @@ impl FlowCellSimulator {
             trace.signal,
             self.seed().wrapping_add(0x5163_u64),
         );
-        // Same synthesis budget as the flow cell's classifier arm: the
-        // decision budget plus dwell-variation slack.
+        // Synthesis budget: the decision budget plus dwell-variation slack.
         let budget_bases =
             (trace.max_decision_samples as f64 / trace.signal.samples_per_base * 1.3) as usize + 20;
         let chunk_samples = trace.chunk_samples.max(1);

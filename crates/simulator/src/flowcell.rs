@@ -8,21 +8,16 @@
 //! cell any faster than normal sequencing.
 //!
 //! The same simulator measures sequencing time and throughput under a Read
-//! Until policy. A policy is either *rate-described* ([`RatePolicy`]: TPR/FPR
-//! plus a fixed decision prefix, as measured offline) or a *real classifier*
-//! ([`ClassifierPolicy`]): any `sf_sdtw::ReadClassifier` driven chunk by
-//! chunk on per-read synthesized squiggles, so the decision point and the
-//! verdict are whatever the classifier actually does — including sound early
-//! ejects long before the nominal prefix.
+//! Until policy, summarized as the paper's model does (§6): a [`RatePolicy`]
+//! holds the classifier's TPR/FPR plus its decision prefix. A real classifier
+//! reaches the flow cell through [`RatePolicy::from_session_stats`], which
+//! measures its streaming sessions, or is replayed interleaved, chunk by
+//! chunk, on an [`ArrivalTrace`](crate::arrivals::ArrivalTrace).
 
 use crate::rand_util::{exponential, lognormal_with_mean};
-use crate::squiggle_sim::{SquiggleSimulator, SquiggleSimulatorConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sf_genome::Sequence;
-use sf_pore_model::KmerModel;
-use sf_sdtw::{ReadClassifier, StreamClassification};
-use std::fmt;
+use sf_sdtw::StreamClassification;
 
 /// Rate-described Read Until policy: how good the classifier is and how long
 /// a decision takes, summarized by its confusion-matrix rates — the
@@ -117,76 +112,6 @@ impl RatePolicy {
     }
 }
 
-/// A real streaming classifier plugged into the flow cell: each captured
-/// read gets a synthesized squiggle (target reads from `target_genome`,
-/// background reads from `background_genome`) whose chunks are pushed into a
-/// fresh classifier session until it commits to keep or eject.
-pub struct ClassifierPolicy {
-    /// The chunk-wise classifier making the keep-or-eject decisions.
-    pub classifier: Box<dyn ReadClassifier + Send + Sync>,
-    /// Genome target reads are drawn from (what the classifier was
-    /// programmed for).
-    pub target_genome: Sequence,
-    /// Background contig non-target reads are drawn from.
-    pub background_genome: Sequence,
-    /// Signal-synthesis parameters for the per-read squiggles.
-    pub signal: SquiggleSimulatorConfig,
-    /// Seed of the synthetic pore model used for synthesis (keep equal to
-    /// the seed the classifier's reference squiggle was built with).
-    pub model_seed: u64,
-    /// Raw samples delivered to the classifier per poll (MinKNOW serves
-    /// Read Until chunks of ≈ 0.1 s ≈ 400 samples).
-    pub chunk_samples: usize,
-    /// Additional compute latency per decision, seconds.
-    pub decision_latency_s: f64,
-}
-
-impl fmt::Debug for ClassifierPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClassifierPolicy")
-            .field(
-                "max_decision_samples",
-                &self.classifier.max_decision_samples(),
-            )
-            .field("target_genome_bp", &self.target_genome.len())
-            .field("background_genome_bp", &self.background_genome.len())
-            .field("chunk_samples", &self.chunk_samples)
-            .field("decision_latency_s", &self.decision_latency_s)
-            .finish()
-    }
-}
-
-/// A Read Until policy: either summarized rates or a real chunk-wise
-/// classifier.
-#[derive(Debug)]
-pub enum ReadUntilPolicy {
-    /// Classifier summarized by its operating point (TPR/FPR + fixed
-    /// decision prefix).
-    Rates(RatePolicy),
-    /// A real streaming classifier driven chunk by chunk.
-    Classifier(ClassifierPolicy),
-}
-
-impl ReadUntilPolicy {
-    /// A perfect, instantaneous rate policy (upper bound on Read Until
-    /// gains).
-    pub fn oracle(decision_prefix_samples: usize) -> Self {
-        ReadUntilPolicy::Rates(RatePolicy::oracle(decision_prefix_samples))
-    }
-}
-
-impl From<RatePolicy> for ReadUntilPolicy {
-    fn from(rates: RatePolicy) -> Self {
-        ReadUntilPolicy::Rates(rates)
-    }
-}
-
-impl From<ClassifierPolicy> for ReadUntilPolicy {
-    fn from(classifier: ClassifierPolicy) -> Self {
-        ReadUntilPolicy::Classifier(classifier)
-    }
-}
-
 /// State of one flow-cell channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ChannelState {
@@ -273,12 +198,6 @@ pub struct FlowCellRun {
     pub total_reads: u64,
     /// Number of reads ejected by Read Until.
     pub ejected_reads: u64,
-    /// Raw samples consumed by eject decisions, summed over all ejected
-    /// reads — the sequencing time Read Until spent *deciding*. With a
-    /// rolling-normalization classifier (`recalibration_interval` below the
-    /// decision prefix) this drops below `ejected_reads × prefix`, which is
-    /// exactly the ejection-latency win the rolling re-estimation buys.
-    pub eject_decision_samples: u64,
     /// Channels still active at the end of the run.
     pub final_active_channels: usize,
 }
@@ -292,15 +211,6 @@ impl FlowCellRun {
         }
         self.target_bases as f64 / self.total_bases as f64
     }
-
-    /// Mean raw samples an eject decision consumed (0 when nothing was
-    /// ejected) — how early, on average, the policy pulled the trigger.
-    pub fn mean_eject_decision_samples(&self) -> f64 {
-        if self.ejected_reads == 0 {
-            return 0.0;
-        }
-        self.eject_decision_samples as f64 / self.ejected_reads as f64
-    }
 }
 
 /// Event-driven (per-channel) flow-cell simulator.
@@ -308,12 +218,12 @@ impl FlowCellRun {
 /// # Examples
 ///
 /// ```
-/// use sf_sim::flowcell::{FlowCellConfig, FlowCellSimulator, ReadUntilPolicy};
+/// use sf_sim::flowcell::{FlowCellConfig, FlowCellSimulator, RatePolicy};
 ///
 /// let config = FlowCellConfig { channels: 32, duration_s: 600.0, ..Default::default() };
 /// let control = FlowCellSimulator::new(config.clone(), 1).run(None, 60.0);
 /// let read_until = FlowCellSimulator::new(config, 1)
-///     .run(Some(&ReadUntilPolicy::oracle(2000)), 60.0);
+///     .run(Some(&RatePolicy::oracle(2000)), 60.0);
 /// // Read Until enriches target bases relative to control.
 /// assert!(read_until.target_base_fraction() >= control.target_base_fraction());
 /// ```
@@ -342,19 +252,9 @@ impl FlowCellSimulator {
 
     /// Runs the simulation. `policy` enables Read Until; `None` is the
     /// control arm. `sample_interval_s` controls timeline resolution.
-    pub fn run(&self, policy: Option<&ReadUntilPolicy>, sample_interval_s: f64) -> FlowCellRun {
+    pub fn run(&self, policy: Option<&RatePolicy>, sample_interval_s: f64) -> FlowCellRun {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // Per-read signal synthesis, only needed when a real classifier
-        // drives the ejection decisions.
-        let mut signal_sim = match policy {
-            Some(ReadUntilPolicy::Classifier(p)) => Some(SquiggleSimulator::new(
-                KmerModel::synthetic_r94(p.model_seed),
-                p.signal,
-                self.seed.wrapping_add(0x5163_u64),
-            )),
-            _ => None,
-        };
         let samples = (cfg.duration_s / sample_interval_s).ceil() as usize + 1;
         let mut active_at: Vec<usize> = vec![0; samples];
         let mut bases_at: Vec<u64> = vec![0; samples];
@@ -364,7 +264,6 @@ impl FlowCellSimulator {
         let mut target_bases = 0u64;
         let mut total_reads = 0u64;
         let mut ejected_reads = 0u64;
-        let mut eject_decision_samples = 0u64;
         let mut final_active = 0usize;
 
         let mut wash_times = cfg.wash_times_s.clone();
@@ -409,7 +308,7 @@ impl FlowCellSimulator {
                 let full_duration = read_length / cfg.bases_per_second;
                 // Read Until decision.
                 let (sequenced_duration, sequenced_bases) = match policy {
-                    Some(ReadUntilPolicy::Rates(p)) => {
+                    Some(p) => {
                         let keep_probability = if is_target {
                             p.true_positive_rate
                         } else {
@@ -430,34 +329,6 @@ impl FlowCellSimulator {
                             if decision_time >= full_duration {
                                 m.missed_eject_windows.incr();
                             }
-                            // A read shorter than the decision prefix only
-                            // delivers its own samples (mirrors the honest
-                            // `samples_consumed` of the Classifier branch).
-                            eject_decision_samples += (p.decision_prefix_samples as f64)
-                                .min(full_duration * cfg.sample_rate_hz)
-                                as u64;
-                            (duration, duration * cfg.bases_per_second)
-                        }
-                    }
-                    Some(ReadUntilPolicy::Classifier(p)) => {
-                        // sf-lint: allow(panic) -- built above whenever the policy is Classifier
-                        let sim = signal_sim.as_mut().expect("classifier signal simulator");
-                        let outcome =
-                            drive_classifier(p, sim, &mut rng, is_target, read_length, cfg);
-                        if outcome.keep {
-                            (full_duration, read_length)
-                        } else {
-                            let decision_time = outcome.samples_consumed as f64
-                                / cfg.sample_rate_hz
-                                + p.decision_latency_s;
-                            let duration = decision_time.min(full_duration);
-                            ejected_reads += 1;
-                            let m = crate::telemetry::metrics();
-                            m.ejects.incr();
-                            if decision_time >= full_duration {
-                                m.missed_eject_windows.incr();
-                            }
-                            eject_decision_samples += outcome.samples_consumed as u64;
                             (duration, duration * cfg.bases_per_second)
                         }
                     }
@@ -542,69 +413,17 @@ impl FlowCellSimulator {
             target_bases,
             total_reads,
             ejected_reads,
-            eject_decision_samples,
             final_active_channels: final_active,
         }
-    }
-}
-
-/// Outcome of driving one read through a classifier session.
-struct DriveOutcome {
-    keep: bool,
-    samples_consumed: usize,
-}
-
-/// Synthesizes the signal prefix of one captured read and streams it chunk by
-/// chunk into a fresh classifier session until the session commits (or the
-/// read's signal runs out, at which point the session is finalized on what it
-/// saw — exactly the behaviour of a real Read Until loop on a short read).
-fn drive_classifier(
-    policy: &ClassifierPolicy,
-    signal_sim: &mut SquiggleSimulator,
-    rng: &mut StdRng,
-    is_target: bool,
-    read_length_bases: f64,
-    cfg: &FlowCellConfig,
-) -> DriveOutcome {
-    let genome = if is_target {
-        &policy.target_genome
-    } else {
-        &policy.background_genome
-    };
-    let read_bases = (read_length_bases as usize).min(genome.len());
-    // Only synthesize the prefix the classifier can possibly consume: the
-    // decision budget plus dwell-variation slack.
-    let budget_bases = (policy.classifier.max_decision_samples() as f64
-        / policy.signal.samples_per_base
-        * 1.3) as usize
-        + 20;
-    let fragment_bases = read_bases.min(budget_bases).max(1);
-    let start = rng.random_range(0..=genome.len() - fragment_bases);
-    let mut fragment = genome.subsequence(start, start + fragment_bases);
-    if rng.random_bool(0.5) {
-        fragment = fragment.reverse_complement();
-    }
-    let squiggle = signal_sim.synthesize(&fragment);
-    // The pore only delivers as much signal as the read actually spans.
-    let read_samples = (read_length_bases * cfg.sample_rate_hz / cfg.bases_per_second) as usize;
-    let available = squiggle.len().min(read_samples);
-
-    let mut session = policy.classifier.start_read();
-    for chunk in squiggle.samples()[..available].chunks(policy.chunk_samples.max(1)) {
-        if session.push_chunk(chunk).is_final() {
-            break;
-        }
-    }
-    let outcome = session.finalize();
-    DriveOutcome {
-        keep: outcome.verdict.is_accept(),
-        samples_consumed: outcome.samples_consumed,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::squiggle_sim::{SquiggleSimulator, SquiggleSimulatorConfig};
+    use sf_genome::Sequence;
+    use sf_pore_model::KmerModel;
 
     fn quick_config() -> FlowCellConfig {
         FlowCellConfig {
@@ -628,7 +447,7 @@ mod tests {
     fn read_until_ejects_and_enriches() {
         let config = quick_config();
         let control = FlowCellSimulator::new(config.clone(), 2).run(None, 60.0);
-        let ru = FlowCellSimulator::new(config, 2).run(Some(&ReadUntilPolicy::oracle(2000)), 60.0);
+        let ru = FlowCellSimulator::new(config, 2).run(Some(&RatePolicy::oracle(2000)), 60.0);
         assert!(ru.ejected_reads > 0);
         assert!(ru.target_base_fraction() > control.target_base_fraction());
         // Read Until frees pore time, so more reads are started overall.
@@ -675,7 +494,7 @@ mod tests {
         // across arms).
         let config = quick_config();
         let control = FlowCellSimulator::new(config.clone(), 5).run(None, 60.0);
-        let ru = FlowCellSimulator::new(config, 5).run(Some(&ReadUntilPolicy::oracle(2000)), 60.0);
+        let ru = FlowCellSimulator::new(config, 5).run(Some(&RatePolicy::oracle(2000)), 60.0);
         let tolerance = 10;
         assert!(
             ru.final_active_channels + tolerance >= control.final_active_channels,
@@ -692,108 +511,60 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Builds a calibrated SquiggleFilter policy over a small genome pair:
-    /// the threshold is the midpoint between one synthesized target read's
-    /// cost and one background read's cost, scored under the same
-    /// normalization schedule the policy will run with.
-    fn squiggle_filter_policy(
-        model_seed: u64,
+    /// Builds a SquiggleFilter over `target_genome` whose threshold is the
+    /// midpoint between three synthesized target reads' mean cost and three
+    /// background reads' mean cost, scored under the same normalization
+    /// schedule the filter will run with.
+    fn calibrated_filter(
+        model: &KmerModel,
+        target_genome: &Sequence,
+        background_genome: &Sequence,
         normalizer: sf_squiggle::NormalizerConfig,
-    ) -> ClassifierPolicy {
+    ) -> sf_sdtw::SquiggleFilter {
         use sf_sdtw::{FilterConfig, SquiggleFilter};
 
-        let target_genome = sf_genome::random::random_genome(71, 2_000);
-        let background_genome = sf_genome::random::human_like_background(72, 40_000);
-        let model = KmerModel::synthetic_r94(model_seed);
-        let signal = SquiggleSimulatorConfig::default();
         let base_config = FilterConfig {
             normalizer,
             ..FilterConfig::hardware(f64::MAX)
         };
-
-        let probe = SquiggleFilter::from_genome(&model, &target_genome, base_config);
-        let mut sim = SquiggleSimulator::new(model.clone(), signal, 7);
-        let target_reads: Vec<_> = [(300, 1_300), (600, 1_600), (900, 1_900)]
-            .iter()
-            .map(|&(a, b)| sim.synthesize(&target_genome.subsequence(a, b)))
-            .collect();
-        let background_reads: Vec<_> = [(0, 1_000), (5_000, 6_000), (11_000, 12_000)]
-            .iter()
-            .map(|&(a, b)| sim.synthesize(&background_genome.subsequence(a, b)))
-            .collect();
-        let cost = |reads: &[sf_squiggle::RawSquiggle]| {
-            reads
+        let probe = SquiggleFilter::from_genome(model, target_genome, base_config);
+        let mut sim = SquiggleSimulator::new(model.clone(), SquiggleSimulatorConfig::default(), 7);
+        let mut mean_cost = |genome: &Sequence, spans: [(usize, usize); 3]| {
+            spans
                 .iter()
-                .map(|r| probe.score(r).expect("probe read scores").cost)
+                .map(|&(a, b)| {
+                    let read = sim.synthesize(&genome.subsequence(a, b));
+                    probe.score(&read).expect("probe read scores").cost
+                })
                 .sum::<f64>()
-                / reads.len() as f64
+                / 3.0
         };
-        let t = cost(&target_reads);
-        let b = cost(&background_reads);
-        assert!(t < b, "calibration failed: target {t} vs background {b}");
-
-        let filter = SquiggleFilter::from_genome(
-            &model,
-            &target_genome,
-            base_config.with_threshold((t + b) / 2.0),
-        );
-        ClassifierPolicy {
-            classifier: Box::new(filter),
-            target_genome,
+        let t = mean_cost(target_genome, [(300, 1_300), (600, 1_600), (900, 1_900)]);
+        let b = mean_cost(
             background_genome,
-            signal,
-            model_seed,
-            chunk_samples: 400,
-            decision_latency_s: 0.000_1,
-        }
-    }
-
-    #[test]
-    fn squiggle_filter_policy_ejects_and_enriches() {
-        // A real (non-oracle) SquiggleFilter drives chunk-by-chunk ejection:
-        // classification happens on synthesized squiggles, not on labels.
-        let config = FlowCellConfig {
-            channels: 4,
-            duration_s: 240.0,
-            target_fraction: 0.3,
-            mean_read_length: 6_000.0,
-            ..Default::default()
-        };
-        let policy = ReadUntilPolicy::Classifier(squiggle_filter_policy(
-            0,
-            sf_squiggle::NormalizerConfig::default(),
-        ));
-        let control = FlowCellSimulator::new(config.clone(), 11).run(None, 30.0);
-        let filtered = FlowCellSimulator::new(config, 11).run(Some(&policy), 30.0);
-        assert!(filtered.ejected_reads > 0, "classifier never ejected");
-        assert!(
-            filtered.ejected_reads < filtered.total_reads,
-            "classifier ejected everything"
+            [(0, 1_000), (5_000, 6_000), (11_000, 12_000)],
         );
-        assert!(
-            filtered.target_base_fraction() > control.target_base_fraction(),
-            "no enrichment: {} vs {}",
-            filtered.target_base_fraction(),
-            control.target_base_fraction()
-        );
-        // Deterministic per seed, classifier arm included.
-        let config2 = FlowCellConfig {
-            channels: 4,
-            duration_s: 240.0,
-            target_fraction: 0.3,
-            mean_read_length: 6_000.0,
-            ..Default::default()
-        };
-        let again = FlowCellSimulator::new(config2, 11).run(Some(&policy), 30.0);
-        assert_eq!(filtered, again);
+        assert!(t < b, "calibration failed: target {t} vs background {b}");
+        SquiggleFilter::from_genome(
+            model,
+            target_genome,
+            base_config.with_threshold((t + b) / 2.0),
+        )
     }
 
     #[test]
     fn rolling_normalization_ejects_before_the_decision_prefix() {
         // A short calibration window plus mid-prefix recalibration lets the
         // sound early-reject bound fire while the read is still streaming:
-        // the mean eject decision must land below the 2000-sample prefix
-        // that a frozen full-window policy is pinned to.
+        // the measured decision prefix (mean samples per eject) must land
+        // below the 2000-sample prefix a frozen full-window filter is pinned
+        // to. Every read of one arrival trace is streamed in 400-sample
+        // chunks through each filter, and the sessions are summarized by
+        // `RatePolicy::from_session_stats`.
+        use crate::arrivals::TraceConfig;
+        use sf_sdtw::ReadClassifier;
+        use sf_squiggle::NormalizerConfig;
+
         let config = FlowCellConfig {
             channels: 4,
             duration_s: 240.0,
@@ -801,29 +572,68 @@ mod tests {
             mean_read_length: 6_000.0,
             ..Default::default()
         };
-        let frozen_policy = ReadUntilPolicy::Classifier(squiggle_filter_policy(
-            0,
-            sf_squiggle::NormalizerConfig::default(),
-        ));
-        let rolling_policy = ReadUntilPolicy::Classifier(squiggle_filter_policy(
-            0,
-            sf_squiggle::NormalizerConfig::default()
+        let model = KmerModel::synthetic_r94(0);
+        let target_genome = sf_genome::random::random_genome(71, 2_000);
+        let background_genome = sf_genome::random::human_like_background(72, 40_000);
+        let frozen = calibrated_filter(
+            &model,
+            &target_genome,
+            &background_genome,
+            NormalizerConfig::default(),
+        );
+        let rolling = calibrated_filter(
+            &model,
+            &target_genome,
+            &background_genome,
+            NormalizerConfig::default()
                 .with_calibration_window(1_000)
                 .with_recalibration_interval(500),
-        ));
-        let frozen = FlowCellSimulator::new(config.clone(), 11).run(Some(&frozen_policy), 30.0);
-        let rolling = FlowCellSimulator::new(config, 11).run(Some(&rolling_policy), 30.0);
-        assert!(rolling.ejected_reads > 0);
+        );
+        assert_eq!(
+            frozen.max_decision_samples(),
+            rolling.max_decision_samples()
+        );
+        let trace = FlowCellSimulator::new(config, 11).arrival_trace(&TraceConfig {
+            target_genome,
+            background_genome,
+            signal: SquiggleSimulatorConfig::default(),
+            model_seed: 0,
+            chunk_samples: 400,
+            max_decision_samples: frozen.max_decision_samples(),
+        });
+        let measure = |filter: &sf_sdtw::SquiggleFilter| {
+            let stats: Vec<_> = trace
+                .reads
+                .iter()
+                .map(|read| {
+                    let mut session = filter.start_read();
+                    let signal = &read.squiggle.samples()[..read.available_samples()];
+                    for chunk in signal.chunks(400) {
+                        if session.push_chunk(chunk).is_final() {
+                            break;
+                        }
+                    }
+                    (read.is_target, session.finalize())
+                })
+                .collect();
+            RatePolicy::from_session_stats(&stats, 0.000_1)
+        };
+        let frozen = measure(&frozen);
+        let rolling = measure(&rolling);
         assert!(
-            rolling.mean_eject_decision_samples() < 2_000.0,
-            "rolling policy should decide mid-prefix, got {}",
-            rolling.mean_eject_decision_samples()
+            rolling.false_positive_rate < 1.0,
+            "rolling filter never ejected background"
         );
         assert!(
-            rolling.mean_eject_decision_samples() < frozen.mean_eject_decision_samples(),
+            rolling.decision_prefix_samples < 2_000,
+            "rolling filter should decide mid-prefix, got {}",
+            rolling.decision_prefix_samples
+        );
+        assert!(
+            rolling.decision_prefix_samples < frozen.decision_prefix_samples,
             "rolling {} vs frozen {}",
-            rolling.mean_eject_decision_samples(),
-            frozen.mean_eject_decision_samples()
+            rolling.decision_prefix_samples,
+            frozen.decision_prefix_samples
         );
     }
 

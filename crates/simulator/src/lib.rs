@@ -43,8 +43,6 @@ pub mod telemetry;
 
 pub use arrivals::{ArrivalTrace, TraceChunk, TraceConfig, TraceRead};
 pub use dataset::{Dataset, DatasetBuilder, LabelledSquiggle};
-pub use flowcell::{
-    ClassifierPolicy, FlowCellConfig, FlowCellRun, FlowCellSimulator, RatePolicy, ReadUntilPolicy,
-};
+pub use flowcell::{FlowCellConfig, FlowCellRun, FlowCellSimulator, RatePolicy};
 pub use read::{ReadOrigin, ReadSimulator, ReadSimulatorConfig, SimulatedRead, Strand};
 pub use squiggle_sim::{SquiggleSimulator, SquiggleSimulatorConfig};

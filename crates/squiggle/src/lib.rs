@@ -29,9 +29,7 @@ pub mod signal;
 pub mod telemetry;
 
 pub use events::{Event, EventDetector, EventDetectorConfig};
-pub use normalize::{
-    CalibratingFeed, NormalizationParams, Normalizer, NormalizerConfig, ScaleEstimator,
-};
+pub use normalize::{CalibratingFeed, NormalizationParams, Normalizer, NormalizerConfig};
 pub use signal::{
     PicoampSquiggle, RawSquiggle, SignalStats, DEFAULT_SAMPLE_RATE_HZ, SAMPLES_PER_BASE,
 };

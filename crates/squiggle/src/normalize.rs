@@ -26,20 +26,9 @@ use sf_telemetry::Stopwatch;
 use std::collections::VecDeque;
 
 /// The fixed-point range used by the 8-bit quantizer: normalized values are
-/// clipped to `[-FIXED_POINT_RANGE, FIXED_POINT_RANGE]`.
+/// clipped to `[-FIXED_POINT_RANGE, FIXED_POINT_RANGE]` (paper §5.3: "we use
+/// fixed-point values in the range \[-4, 4\]").
 pub const FIXED_POINT_RANGE: f32 = 4.0;
-
-/// Statistic used as the denominator of the normalization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ScaleEstimator {
-    /// Mean absolute deviation — cheap to compute in hardware (no square
-    /// root); the estimator used by the accelerator.
-    #[default]
-    MeanAbsoluteDeviation,
-    /// Standard deviation — the conventional z-score denominator, used by the
-    /// floating-point software baseline.
-    StandardDeviation,
-}
 
 /// Configuration of the normalization pipeline.
 ///
@@ -74,8 +63,6 @@ pub enum ScaleEstimator {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NormalizerConfig {
-    /// Denominator statistic.
-    pub scale: ScaleEstimator,
     /// Number of samples mean and scale are estimated over: the first
     /// `calibration_window` samples for the initial estimate, and the
     /// trailing `calibration_window` samples for every re-estimation (when
@@ -99,7 +86,6 @@ pub struct NormalizerConfig {
 impl Default for NormalizerConfig {
     fn default() -> Self {
         NormalizerConfig {
-            scale: ScaleEstimator::MeanAbsoluteDeviation,
             calibration_window: 2000,
             outlier_clip: FIXED_POINT_RANGE,
             recalibration_interval: 2000,
@@ -136,7 +122,7 @@ impl NormalizerConfig {
 pub struct NormalizationParams {
     /// Estimated signal mean.
     pub shift: f32,
-    /// Estimated signal scale (MAD or standard deviation).
+    /// Estimated signal scale: the mean absolute deviation.
     pub scale: f32,
 }
 
@@ -192,18 +178,15 @@ impl Normalizer {
         &self.config
     }
 
-    /// Estimates normalization parameters from the first
+    /// Estimates normalization parameters — mean and mean absolute
+    /// deviation, the accelerator's square-root-free scale — from the first
     /// `calibration_window` samples of `signal`.
     pub fn estimate<T: Into<f64> + Copy>(&self, signal: &[T]) -> NormalizationParams {
         let window = &signal[..signal.len().min(self.config.calibration_window)];
         let s = stats(window);
-        let scale = match self.config.scale {
-            ScaleEstimator::MeanAbsoluteDeviation => s.mad,
-            ScaleEstimator::StandardDeviation => s.std_dev,
-        };
         NormalizationParams {
             shift: s.mean as f32,
-            scale: (scale as f32).max(f32::EPSILON),
+            scale: (s.mad as f32).max(f32::EPSILON),
         }
     }
 
@@ -252,15 +235,6 @@ impl Normalizer {
     /// Normalizes and quantizes to the accelerator's signed 8-bit domain.
     pub fn normalize_raw_quantized(&self, signal: &[u16]) -> Vec<i8> {
         self.normalize_raw(signal)
-            .iter()
-            .copied()
-            .map(quantize)
-            .collect()
-    }
-
-    /// Normalizes a floating-point signal and quantizes it.
-    pub fn normalize_quantized(&self, signal: &[f32]) -> Vec<i8> {
-        self.normalize(signal)
             .iter()
             .copied()
             .map(quantize)
@@ -509,26 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_estimator_differs_from_mad() {
-        let signal = synthetic_signal(2000, 90.0, 30.0);
-        let mad = Normalizer::new(NormalizerConfig {
-            scale: ScaleEstimator::MeanAbsoluteDeviation,
-            ..Default::default()
-        })
-        .estimate(&signal);
-        let sd = Normalizer::new(NormalizerConfig {
-            scale: ScaleEstimator::StandardDeviation,
-            ..Default::default()
-        })
-        .estimate(&signal);
-        assert!(
-            sd.scale > mad.scale,
-            "std dev should exceed MAD for this signal"
-        );
-        assert_eq!(sd.shift, mad.shift);
-    }
-
-    #[test]
     fn outliers_are_clipped() {
         let mut signal = synthetic_signal(2000, 90.0, 10.0);
         signal[100] = 100_000.0;
@@ -560,8 +514,18 @@ mod tests {
             let q = quantize(v);
             assert!((dequantize(q) - v).abs() <= FIXED_POINT_RANGE / 127.0 + 1e-6);
         }
-        assert_eq!(quantize(99.0), 127);
-        assert_eq!(quantize(-99.0), -127);
+        // Exact points: zero, the range ends, and clamping beyond them.
+        for (v, q) in [
+            (0.0f32, 0i8),
+            (4.0, 127),
+            (-4.0, -127),
+            (10.0, 127),
+            (-10.0, -127),
+            (99.0, 127),
+            (-99.0, -127),
+        ] {
+            assert_eq!(quantize(v), q, "{v}");
+        }
     }
 
     #[test]

@@ -97,8 +97,7 @@ pub mod prelude {
         ShardedSession,
     };
     pub use sf_sim::{
-        ArrivalTrace, ClassifierPolicy, DatasetBuilder, FlowCellConfig, FlowCellSimulator,
-        RatePolicy, ReadUntilPolicy, TraceConfig,
+        ArrivalTrace, DatasetBuilder, FlowCellConfig, FlowCellSimulator, RatePolicy, TraceConfig,
     };
     pub use sf_squiggle::{Normalizer, RawSquiggle};
     pub use sf_variant::{Assembler, AssemblyConfig};

@@ -125,8 +125,7 @@ fn read_until_flowcell_enrichment_and_runtime_agree_in_direction() {
         decision_prefix_samples: 2_000,
         decision_latency_s: 0.0001,
     };
-    let policy = ReadUntilPolicy::Rates(rates);
-    let filtered = FlowCellSimulator::new(config, 5).run(Some(&policy), 60.0);
+    let filtered = FlowCellSimulator::new(config, 5).run(Some(&rates), 60.0);
     assert!(filtered.target_base_fraction() > control.target_base_fraction() * 3.0);
 
     let runtime = RuntimeModel::new(SequencingParams {
