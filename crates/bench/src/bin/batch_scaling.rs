@@ -14,11 +14,6 @@
 //! baseline is scored alongside to keep the accuracy cost of the shorter
 //! window visible (see docs/benchmarks.md).
 //!
-//! A final pass replays the same dataset as interleaved per-read chunk
-//! streams through the same scheduler and reports `sessions_per_s` against
-//! the 1-worker sweep point — interleaved 400-sample chunks vs whole-read
-//! arrivals on identical DP work.
-//!
 //! Usage: `cargo run --release -p sf-bench --bin batch_scaling [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the dataset so the sweep finishes in seconds (used by the
@@ -28,7 +23,7 @@ use sf_bench::{print_header, score_dataset};
 use sf_hw::perf::AcceleratorModel;
 use sf_metrics::ConfusionMatrix;
 use sf_pore_model::{KmerModel, ReferenceSquiggle};
-use sf_sched::{Arrival, MicroBatchConfig, SessionId, SessionScheduler};
+use sf_sched::{MicroBatchConfig, SessionScheduler};
 use sf_sdtw::{
     calibrate_threshold, FilterConfig, KernelBackend, ReadClassifier, SquiggleFilter,
     StreamClassification,
@@ -41,7 +36,6 @@ use sf_sim::{Dataset, DatasetBuilder};
 use sf_squiggle::{NormalizerConfig, RawSquiggle};
 use sf_telemetry::{HistogramSnapshot, Snapshot};
 use std::fmt::Write as _;
-use std::sync::mpsc;
 use std::time::Instant;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -73,107 +67,6 @@ struct BackendPoint {
     dp_cells: u64,
     /// `dp_cells / seconds` (0 with telemetry disabled).
     cells_per_s: f64,
-}
-
-/// One timed pass of the micro-batched session scheduler over the dataset
-/// replayed as interleaved per-read chunk streams.
-struct SchedulerPoint {
-    workers: usize,
-    chunk_samples: usize,
-    seconds: f64,
-    sessions: usize,
-    sessions_per_s: f64,
-    /// `sessions_per_s / reads_per_s` of the 1-worker whole-read sweep
-    /// point — same DP work, so this isolates what interleaving costs.
-    speedup_vs_batch_1t: f64,
-    micro_batches: u64,
-    mean_microbatch_sessions: f64,
-    late_chunks: u64,
-    /// `sched.evictions` delta over the timed pass (0 with telemetry
-    /// disabled).
-    evictions: u64,
-}
-
-/// Replays the dataset through the [`SessionScheduler`]: every read becomes
-/// one session, and the ingest queue is filled with `chunk_samples`-sized
-/// chunks round-robined across all of them — the interleaved arrival shape a
-/// Read Until service sees, delivered as one burst so the measurement stays
-/// single-threaded (on the 1-worker fastpath the caller thread IS the
-/// worker; a live producer thread would only add scheduling noise to the
-/// clock). Total DP work matches the 1-worker sweep point bit for bit
-/// (chunking never changes a session's decisions), so `sessions_per_s`
-/// against that point's `reads_per_s` is an honest read on what
-/// interleaved chunks cost or save against whole-read arrivals.
-fn run_scheduler(
-    filter: &SquiggleFilter,
-    squiggles: &[RawSquiggle],
-    baseline_reads_per_s: f64,
-) -> SchedulerPoint {
-    let chunk_samples = 400usize;
-    // max_sessions at the session count makes every drain a full-occupancy
-    // micro-batch; max_chunk_samples coalesces each session's buffered
-    // chunks into large kernel advances — the scheduler's cross-read
-    // amortization at full strength.
-    let config = MicroBatchConfig::default()
-        .with_max_sessions(squiggles.len().max(1))
-        .with_max_chunk_samples(4_000);
-    let scheduler = SessionScheduler::new(config);
-    let (ingest_tx, ingest_rx) = mpsc::channel();
-    let (done_tx, done_rx) = mpsc::channel::<sf_sched::SessionOutcome>();
-    let tel_before = sf_telemetry::snapshot();
-    let start = Instant::now();
-    // Interleave the whole dataset into the ingest queue (timed: the burst's
-    // chunk copies are part of what the engine ingests).
-    let mut offset = 0usize;
-    loop {
-        let mut any = false;
-        for (i, squiggle) in squiggles.iter().enumerate() {
-            let samples = squiggle.samples();
-            if offset >= samples.len() {
-                continue;
-            }
-            any = true;
-            let end = (offset + chunk_samples).min(samples.len());
-            let id = SessionId(i as u64);
-            let _ = ingest_tx.send(Arrival::chunk(id, samples[offset..end].to_vec()));
-            if end == samples.len() {
-                let _ = ingest_tx.send(Arrival::end(id));
-            }
-        }
-        if !any {
-            break;
-        }
-        offset += chunk_samples;
-    }
-    drop(ingest_tx);
-    let report = scheduler.run(filter, ingest_rx, &done_tx);
-    let seconds = start.elapsed().as_secs_f64();
-    drop(done_tx);
-    let mut completed = 0usize;
-    while done_rx.try_recv().is_ok() {
-        completed += 1;
-    }
-    let evictions =
-        sf_telemetry::snapshot().counter_delta(&tel_before, sf_sched::telemetry::SCHED_EVICTIONS);
-    assert_eq!(completed, squiggles.len(), "scheduler lost a session");
-    assert_eq!(report.sessions_completed as usize, completed);
-    let sessions_per_s = squiggles.len() as f64 / seconds;
-    SchedulerPoint {
-        workers: scheduler.resolved_workers(),
-        chunk_samples,
-        seconds,
-        sessions: squiggles.len(),
-        sessions_per_s,
-        speedup_vs_batch_1t: if baseline_reads_per_s > 0.0 {
-            sessions_per_s / baseline_reads_per_s
-        } else {
-            0.0
-        },
-        micro_batches: report.micro_batches,
-        mean_microbatch_sessions: report.mean_microbatch_sessions(),
-        late_chunks: report.late_chunks,
-        evictions,
-    }
 }
 
 /// One timed pass of a sharded catalog over the panel read set.
@@ -544,27 +437,6 @@ fn main() {
         );
     }
 
-    // The same squiggles replayed as interleaved sessions through the
-    // micro-batched scheduler (single worker, matching the 1-worker sweep
-    // point): identical total DP work, so the delta is what interleaving
-    // costs.
-    let scheduler_point = run_scheduler(
-        &filter,
-        &squiggles,
-        points.first().map_or(0.0, |p| p.reads_per_s),
-    );
-    println!();
-    println!(
-        "scheduler: {:>8.3} s, {:>10.2} sessions/s ({:.2}x vs whole reads 1t), {} micro-batches, \
-         mean occupancy {:.1}, {} late chunks",
-        scheduler_point.seconds,
-        scheduler_point.sessions_per_s,
-        scheduler_point.speedup_vs_batch_1t,
-        scheduler_point.micro_batches,
-        scheduler_point.mean_microbatch_sessions,
-        scheduler_point.late_chunks,
-    );
-
     // The sharded pan-viral catalog sweep: reads/s and DP cells as the
     // catalog widens.
     let sharding = run_sharding(&model, quick);
@@ -620,7 +492,6 @@ fn main() {
         quick,
         &points,
         &backend_points,
-        &scheduler_point,
         &sharding,
         &stats,
         frozen_point.as_ref(),
@@ -639,7 +510,6 @@ fn render_json(
     quick: bool,
     points: &[SweepPoint],
     backend_points: &[BackendPoint],
-    scheduler_point: &SchedulerPoint,
     sharding: &ShardingSection,
     stats: &DecisionStats,
     frozen_point: Option<&sf_sdtw::OperatingPoint>,
@@ -741,49 +611,6 @@ fn render_json(
         );
     }
     let _ = writeln!(json, "  ],");
-    // The micro-batched scheduler pass: same dataset, interleaved sessions.
-    let _ = writeln!(json, "  \"scheduler\": {{");
-    let _ = writeln!(json, "    \"workers\": {},", scheduler_point.workers);
-    let _ = writeln!(
-        json,
-        "    \"chunk_samples\": {},",
-        scheduler_point.chunk_samples
-    );
-    let _ = writeln!(json, "    \"seconds\": {:.6},", scheduler_point.seconds);
-    let _ = writeln!(json, "    \"sessions\": {},", scheduler_point.sessions);
-    let _ = writeln!(
-        json,
-        "    \"sessions_per_s\": {:.3},",
-        scheduler_point.sessions_per_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"speedup_vs_batch_1t\": {:.3},",
-        scheduler_point.speedup_vs_batch_1t
-    );
-    let _ = writeln!(
-        json,
-        "    \"micro_batches\": {},",
-        scheduler_point.micro_batches
-    );
-    let _ = writeln!(
-        json,
-        "    \"mean_microbatch_sessions\": {:.2},",
-        scheduler_point.mean_microbatch_sessions
-    );
-    let _ = writeln!(
-        json,
-        "    \"late_chunks\": {},",
-        scheduler_point.late_chunks
-    );
-    let _ = writeln!(json, "    \"evictions\": {},", scheduler_point.evictions);
-    write_latency(
-        &mut json,
-        "chunk_queue_wait_ns",
-        telemetry.histogram(sf_sched::telemetry::SCHED_CHUNK_QUEUE_WAIT_NS),
-        "",
-    );
-    let _ = writeln!(json, "  }},");
     // The sharded pan-viral catalog sweep (docs/benchmarks.md, "Reference
     // sharding"). The telemetry-derived dp_cells/cells_per_s are 0 with
     // telemetry compiled out.

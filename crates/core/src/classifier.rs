@@ -14,11 +14,14 @@
 //!
 //! Implementors: [`crate::SquiggleFilter`] (sDTW with a sound early-reject
 //! bound, and stage escalation as chunks accumulate when it has an early
-//! stage) and `sf_align::MapperClassifier` (the basecall-and-map baseline). Consumers: `sf_sched::SessionScheduler` (interleaved chunk
-//! arrivals and whole-read batches, generic over any `ReadClassifier`),
-//! `sf_sim::FlowCellSimulator` (chunk-by-chunk ejection) and
-//! `sf_sim::RatePolicy::from_session_stats` (measured
-//! samples-to-decision distributions for the runtime model).
+//! stage) and `sf_align::MapperClassifier` (the basecall-and-map baseline).
+//! Consumers, all generic over any `ReadClassifier`:
+//! `sf_sched::SessionScheduler` (interleaved chunk arrivals and whole-read
+//! batches), `sf_readuntil::run_service` (the Read Until service loop that
+//! drives the scheduler from a flow-cell arrival trace) and
+//! `sf_shard::ShardedClassifier` (one session per reference shard, merged
+//! into one decision). `sf_sim::RatePolicy::from_session_stats` summarizes
+//! the resulting [`StreamClassification`]s into a flow-cell policy.
 
 use crate::filter::FilterVerdict;
 use crate::result::SdtwResult;
@@ -208,9 +211,9 @@ pub trait ClassifierSession {
 /// A classifier that makes chunk-wise Accept/Reject/Wait decisions on
 /// streaming raw signal.
 ///
-/// The trait is object-safe: consumers that must be classifier-agnostic at
-/// runtime (the flow-cell simulator's Read Until policy) hold a
-/// `Box<dyn ReadClassifier>`.
+/// The trait is object-safe: code that must be classifier-agnostic at
+/// runtime takes a `&dyn ReadClassifier` (as `examples/read_until_stream.rs`
+/// does).
 ///
 /// # Examples
 ///

@@ -1,6 +1,6 @@
 //! Manifest-layer rules over the workspace's `Cargo.toml` files.
 //!
-//! Three invariants, all of which have bitten this repo before (see
+//! Two invariants, both of which have bitten this repo before (see
 //! `docs/static-analysis.md`):
 //!
 //! 1. **`manifest-default-features`** — every internal workspace dependency
@@ -10,11 +10,7 @@
 //!    re-enables telemetry for every `--no-default-features` consumer.
 //!    Member manifests must reference internal crates through
 //!    `workspace = true`, never a raw `path`, for the same reason.
-//! 2. **`manifest-telemetry-forward`** — every crate that depends on
-//!    `sf-telemetry` defines a `telemetry` feature forwarding
-//!    `sf-telemetry/enabled`, and forwards `<dep>/telemetry` for every
-//!    dependency that itself has one, so one facade feature flips the chain.
-//! 3. **`manifest-workspace-lints`** — every workspace member inherits
+//! 2. **`manifest-workspace-lints`** — every workspace member inherits
 //!    `[workspace.lints]` via `[lints] workspace = true`.
 
 use std::path::{Path, PathBuf};
@@ -24,8 +20,6 @@ use crate::toml_lite::{self, Doc, Value};
 
 /// Rule id: internal workspace dep entry without `default-features = false`.
 pub const RULE_DEFAULT_FEATURES: &str = "manifest-default-features";
-/// Rule id: missing `telemetry` feature forwarding.
-pub const RULE_TELEMETRY_FORWARD: &str = "manifest-telemetry-forward";
 /// Rule id: member manifest without `[lints] workspace = true`.
 pub const RULE_WORKSPACE_LINTS: &str = "manifest-workspace-lints";
 
@@ -128,19 +122,6 @@ impl Workspace {
     pub fn crate_members(&self) -> impl Iterator<Item = &Member> {
         self.members.iter().filter(|m| m.dir.starts_with("crates"))
     }
-
-    fn has_telemetry_feature(&self, name: &str) -> bool {
-        self.members
-            .iter()
-            .any(|m| m.name == name && m.doc.get("features", "telemetry").is_some())
-    }
-}
-
-/// Dependency keys of a member's `[dependencies]` table.
-fn dependency_keys(doc: &Doc) -> Vec<(&str, usize)> {
-    doc.table("dependencies")
-        .map(|t| t.entries.iter().map(|e| (e.key.as_str(), e.line)).collect())
-        .unwrap_or_default()
 }
 
 /// Runs all manifest rules on a loaded workspace.
@@ -170,7 +151,8 @@ pub fn lint_manifests(ws: &Workspace) -> Vec<Finding> {
                     ),
                     "cargo feature unification re-enables the dep's default features \
                      (telemetry!) for every --no-default-features consumer; add \
-                     `default-features = false` and forward the feature explicitly",
+                     `default-features = false` and let a top-level package set \
+                     `sf-telemetry/enabled`",
                 ));
             }
         }
@@ -196,55 +178,9 @@ pub fn lint_manifests(ws: &Workspace) -> Vec<Finding> {
                 }
             }
         }
-
-        // Rule 2: telemetry feature forwarding.
-        let telemetry_feature = member
-            .doc
-            .get("features", "telemetry")
-            .and_then(|e| e.value.as_array())
-            .map(<[String]>::to_vec)
-            .unwrap_or_default();
-        let forwards = |spec: &str| {
-            telemetry_feature
-                .iter()
-                .any(|f| f == spec || f == &spec.replace('/', "?/"))
-        };
-        for (dep, line) in dependency_keys(&member.doc) {
-            if dep == "sf-telemetry" && member.name != "sf-telemetry" {
-                if !forwards("sf-telemetry/enabled") {
-                    findings.push(Finding::new(
-                        &member.manifest,
-                        line,
-                        RULE_TELEMETRY_FORWARD,
-                        format!(
-                            "`{}` depends on sf-telemetry but its `telemetry` feature \
-                             does not forward `sf-telemetry/enabled`",
-                            member.name
-                        ),
-                        "add `telemetry = [\"sf-telemetry/enabled\", ...]` to [features]",
-                    ));
-                }
-            } else if dep != member.name && ws.has_telemetry_feature(dep) {
-                let spec = format!("{dep}/telemetry");
-                if !forwards(&spec) {
-                    findings.push(Finding::new(
-                        &member.manifest,
-                        line,
-                        RULE_TELEMETRY_FORWARD,
-                        format!(
-                            "`{}` depends on `{dep}` (which has a `telemetry` feature) \
-                             but does not forward `{spec}`",
-                            member.name
-                        ),
-                        "a consumer enabling this crate's `telemetry` feature must \
-                         light up the whole chain; add the forward to [features]",
-                    ));
-                }
-            }
-        }
     }
 
-    // Rule 3: every member (crates, vendor shims, and the root package)
+    // Rule 2: every member (crates, vendor shims, and the root package)
     // inherits the workspace lint table.
     for member in &ws.members {
         let inherits = member

@@ -2,7 +2,8 @@
 //! `lint_workspace` entry point. `ws_bad/` reproduces two real regressions:
 //! the PR 6 feature-unification hazard (a `[workspace.dependencies]` entry
 //! that leaves default features on) and the PR 3 lock-across-loop bug in a
-//! member source file. `ws_good/` must pass every rule clean.
+//! member source file. `ws_good/` must pass every rule clean, including a
+//! member that depends on sf-telemetry and defines no `[features]` table.
 
 use std::path::{Path, PathBuf};
 
@@ -29,11 +30,6 @@ fn bad_workspace_findings_are_exact() {
                 Path::new("crates/beta/Cargo.toml"),
                 3,
                 "manifest-workspace-lints"
-            ),
-            (
-                Path::new("crates/beta/Cargo.toml"),
-                9,
-                "manifest-telemetry-forward"
             ),
             // The PR 3 repro: guard bound in the `while let` scrutinee. The
             // same line also carries the `.unwrap()`.

@@ -56,5 +56,5 @@ fn binary_exits_nonzero_on_the_bad_fixture() {
         stdout.contains("crates/beta/src/lib.rs:7: [lock-across-loop]"),
         "{stdout}"
     );
-    assert!(stdout.contains("5 finding(s)"), "{stdout}");
+    assert!(stdout.contains("4 finding(s)"), "{stdout}");
 }

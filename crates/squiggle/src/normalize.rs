@@ -304,7 +304,7 @@ pub struct CalibratingFeed<T = u16> {
     /// Number of mid-stream re-estimations performed so far.
     recalibrations: usize,
     /// Nanoseconds this feed has spent estimating parameters (telemetry;
-    /// always `0` when the `telemetry` feature is off).
+    /// always `0` when telemetry is compiled out).
     estimate_ns: u64,
 }
 

@@ -97,34 +97,7 @@ for b in backends:
     if b.get("cells_per_s", 0) <= 0:
         broken(f"{enabled_path}: backends[{b.get('backend')}].cells_per_s is not positive")
 
-# 1c. The micro-batched scheduler section: present in both modes (the
-# scheduler pass runs regardless of telemetry), throughput positive, and the
-# queue-wait histogram populated only where telemetry can record it.
-for path, run, needs_hist in ((enabled_path, enabled, True),
-                              (disabled_path, disabled, False)):
-    sched = run.get("scheduler")
-    if not isinstance(sched, dict):
-        broken(f"{path}: no scheduler section")
-        continue
-    for key in ("workers", "chunk_samples", "seconds", "sessions",
-                "sessions_per_s", "speedup_vs_batch_1t", "micro_batches",
-                "mean_microbatch_sessions", "late_chunks", "evictions",
-                "chunk_queue_wait_ns"):
-        if key not in sched:
-            broken(f"{path}: scheduler.{key} missing")
-    if sched.get("sessions_per_s", 0) <= 0:
-        broken(f"{path}: scheduler.sessions_per_s is not positive")
-    if sched.get("mean_microbatch_sessions", 0) <= 1.0:
-        broken(f"{path}: scheduler.mean_microbatch_sessions <= 1 "
-               "(micro-batching degraded to read-at-a-time dispatch)")
-    hist = sched.get("chunk_queue_wait_ns", {})
-    for key in ("count", "p50", "p95", "p99", "max"):
-        if key not in hist:
-            broken(f"{path}: scheduler.chunk_queue_wait_ns.{key} missing")
-    if needs_hist and hist.get("count", 0) <= 0:
-        broken(f"{path}: scheduler.chunk_queue_wait_ns.count is not positive")
-
-# 1d. The sharded pan-viral catalog section: present in both modes, with a
+# 1c. The sharded pan-viral catalog section: present in both modes, with a
 # >= 8-target panel and the full shard-count sweep. The telemetry-derived
 # dp_cells must be positive only where telemetry can record it.
 for path, run, has_tel in ((enabled_path, enabled, True),
