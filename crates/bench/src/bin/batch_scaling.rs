@@ -708,11 +708,9 @@ fn render_telemetry(json: &mut String, snap: &Snapshot, points: &[SweepPoint]) {
     let software_cells_per_s = points.iter().map(|p| p.cells_per_s).fold(0.0f64, f64::max);
     let _ = writeln!(
         json,
-        "    \"dp\": {{ \"cells\": {}, \"rows\": {}, \"band_cells_skipped\": {}, \
-         \"software_cells_per_s\": {:.0} }},",
+        "    \"dp\": {{ \"cells\": {}, \"rows\": {}, \"software_cells_per_s\": {:.0} }},",
         counter(sf_sdtw::telemetry::SDTW_DP_CELLS),
         counter(sf_sdtw::telemetry::SDTW_DP_ROWS),
-        counter(sf_sdtw::telemetry::SDTW_BAND_CELLS_SKIPPED),
         software_cells_per_s,
     );
     let _ = writeln!(

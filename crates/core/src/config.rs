@@ -81,48 +81,6 @@ impl MatchBonus {
     }
 }
 
-/// Which DP cells of each row are evaluated.
-///
-/// The classic Sakoe–Chiba band constrains `|i - j| <= radius` around the
-/// main diagonal, which is vacuous for *subsequence* DTW: an alignment may
-/// start at any reference position, so every column of every row is
-/// potentially on some path. The adaptation used here re-centers the band
-/// every row on the previous row's best (minimum-cost) column — the DP mass
-/// that decides the verdict concentrates around the best alignment's path,
-/// and columns far from it only ever contribute costs far above the row
-/// minimum. Row 0 is always evaluated in full (it enumerates the candidate
-/// alignment starts); out-of-band cells hold a sentinel cost and can never
-/// win a row minimum.
-///
-/// Banding changes which cells are computed, so banded costs are not
-/// bit-identical to [`Band::Full`] costs — the workspace treats banding as a
-/// *verdict-level* approximation (pinned by the banded verdict-parity tests),
-/// while [`Band::Full`] remains bit-exact with the unbanded kernels.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
-pub enum Band {
-    /// Evaluate every cell of every row — the paper's configuration (the
-    /// systolic array has one PE per reference position, so full rows cost it
-    /// nothing extra).
-    #[default]
-    Full,
-    /// Evaluate only the `2 * radius + 1` columns centered on the previous
-    /// row's minimum-cost column (clipped to the reference bounds).
-    SakoeChiba {
-        /// Band half-width, in reference positions. A radius of at least the
-        /// reference length reproduces [`Band::Full`] cell-for-cell.
-        radius: usize,
-    },
-}
-
-impl Band {
-    /// `true` for [`Band::SakoeChiba`].
-    pub fn is_banded(self) -> bool {
-        matches!(self, Band::SakoeChiba { .. })
-    }
-}
-
 /// Which row-update implementation the kernels run.
 ///
 /// Both backends implement the identical recurrence and are bit-exact with
@@ -157,8 +115,6 @@ pub struct SdtwConfig {
     pub allow_reference_deletion: bool,
     /// Optional match bonus.
     pub match_bonus: Option<MatchBonus>,
-    /// Which DP cells of each row are evaluated.
-    pub band: Band,
     /// Row-update implementation selector.
     pub backend: KernelBackend,
 }
@@ -171,7 +127,6 @@ impl SdtwConfig {
             distance: DistanceMetric::Squared,
             allow_reference_deletion: true,
             match_bonus: None,
-            band: Band::Full,
             backend: KernelBackend::Vector,
         }
     }
@@ -184,7 +139,6 @@ impl SdtwConfig {
             distance: DistanceMetric::Absolute,
             allow_reference_deletion: false,
             match_bonus: Some(MatchBonus::default()),
-            band: Band::Full,
             backend: KernelBackend::Vector,
         }
     }
@@ -216,13 +170,6 @@ impl SdtwConfig {
     #[must_use]
     pub fn with_match_bonus(mut self, bonus: Option<MatchBonus>) -> Self {
         self.match_bonus = bonus;
-        self
-    }
-
-    /// Sets the band (which DP cells of each row are evaluated).
-    #[must_use]
-    pub fn with_band(mut self, band: Band) -> Self {
-        self.band = band;
         self
     }
 
@@ -378,15 +325,6 @@ mod tests {
                 .resolved_backend(),
             KernelBackend::Vector
         );
-    }
-
-    #[test]
-    fn band_defaults_and_builder() {
-        assert_eq!(SdtwConfig::hardware().band, Band::Full);
-        assert!(!Band::Full.is_banded());
-        let banded = SdtwConfig::hardware().with_band(Band::SakoeChiba { radius: 100 });
-        assert!(banded.band.is_banded());
-        assert_eq!(banded.band, Band::SakoeChiba { radius: 100 });
     }
 
     #[test]

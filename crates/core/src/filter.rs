@@ -310,12 +310,6 @@ impl SquiggleFilter {
             .unwrap_or(EMPTY_READ)
     }
 
-    /// Number of DP cells evaluated per classified read (≈ the operation
-    /// count of §4.8).
-    pub fn cells_per_read(&self) -> u64 {
-        self.config.prefix_samples as u64 * self.reference_samples() as u64
-    }
-
     /// Opens a streaming session (the concrete type behind
     /// [`ReadClassifier::start_read`], exposed for callers that want to avoid
     /// the boxed trait object).
@@ -768,10 +762,6 @@ mod tests {
         let (filter, _, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
         // forward + reverse, each genome.len() - 5 k-mers long
         assert_eq!(filter.reference_samples(), 2 * (genome.len() - 5));
-        assert_eq!(
-            filter.cells_per_read(),
-            2_000 * 2 * (genome.len() as u64 - 5)
-        );
     }
 
     #[test]

@@ -148,12 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_count_is_product() {
-        let aligner = FloatSdtw::new(SdtwConfig::vanilla(), vec![0.0; 500]);
-        assert_eq!(aligner.cell_count(2000), 1_000_000);
-    }
-
-    #[test]
     #[should_panic(expected = "reference signal")]
     fn empty_reference_panics() {
         let _ = FloatSdtw::new(SdtwConfig::vanilla(), Vec::new());

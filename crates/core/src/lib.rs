@@ -9,12 +9,12 @@
 //!
 //! * [`config`] — the sDTW variants: distance metric, reference-deletion
 //!   removal and match bonus (paper §4.7), each an independent toggle for the
-//!   Figure 18 ablation; plus the [`Band`] window and the [`KernelBackend`]
-//!   row-update selector.
+//!   Figure 18 ablation; plus the [`KernelBackend`] row-update selector.
 //! * [`kernel`] — the unified streaming subsequence-DTW engine: one generic
 //!   implementation behind the [`SdtwKernel`] / [`SdtwStream`] traits, with
-//!   a scalar oracle and an AVX2 vector backend, optional Sakoe–Chiba banding, in the
-//!   floating-point and 8-bit fixed-point domains ([`FloatSdtw`] /
+//!   a scalar oracle and an AVX2 vector backend, evaluating every reference
+//!   column of every row (the accelerator's one PE per reference position),
+//!   in the floating-point and 8-bit fixed-point domains ([`FloatSdtw`] /
 //!   [`IntSdtw`]).
 //! * [`classifier`] — the streaming [`ReadClassifier`] API: per-read
 //!   sessions making chunk-wise Accept/Reject/Wait [`Decision`]s, the
@@ -76,13 +76,12 @@ pub mod threshold;
 pub use classifier::{
     ClassifierSession, Decision, ReadClassifier, SessionState, StreamClassification, TargetId,
 };
-pub use config::{Band, DistanceMetric, KernelBackend, MatchBonus, SdtwConfig};
+pub use config::{DistanceMetric, KernelBackend, MatchBonus, SdtwConfig};
 pub use filter::{
     Classification, FilterConfig, FilterPrecision, FilterSession, FilterVerdict, SquiggleFilter,
 };
 pub use kernel::{
-    FloatLane, FloatSdtw, FloatSdtwStream, IntLane, IntSdtw, IntSdtwStream, KernelStream, Sdtw,
-    SdtwKernel, SdtwLane, SdtwStream,
+    FloatLane, FloatSdtw, IntLane, IntSdtw, KernelStream, Sdtw, SdtwKernel, SdtwLane, SdtwStream,
 };
 pub use multistage::Stage;
 pub use result::SdtwResult;

@@ -18,14 +18,10 @@ use std::sync::OnceLock;
 ///
 /// [`ClassifierSession::push_chunk`]: crate::ClassifierSession::push_chunk
 pub const SDTW_CHUNK_PUSH_NS: &str = "sdtw.chunk_push_ns";
-/// Counter: DP cells actually evaluated (in-band cells only; under
-/// `Band::Full` this is rows × reference samples), all kernels.
+/// Counter: DP cells evaluated (rows × reference samples), all kernels.
 pub const SDTW_DP_CELLS: &str = "sdtw.dp_cells";
 /// Counter: DP rows processed (one row per query sample).
 pub const SDTW_DP_ROWS: &str = "sdtw.dp_rows";
-/// Counter: DP cells skipped by Sakoe–Chiba banding (0 under `Band::Full`).
-/// `dp_cells + band_cells_skipped` = rows × reference samples.
-pub const SDTW_BAND_CELLS_SKIPPED: &str = "sdtw.band_cells_skipped";
 /// Gauge: row-update backend of the most recently constructed kernel: 1
 /// only when its rows run the AVX2 body (vector requested, no reference
 /// deletions, AVX2 CPU), else 0 (scalar). Set once per kernel construction,
@@ -48,7 +44,6 @@ pub(crate) struct Metrics {
     pub chunk_push_ns: &'static Histogram,
     pub dp_cells: &'static Counter,
     pub dp_rows: &'static Counter,
-    pub band_cells_skipped: &'static Counter,
     pub kernel_backend: &'static Gauge,
     pub dp_ns: &'static Counter,
     pub decision_ns: &'static Counter,
@@ -63,7 +58,6 @@ pub(crate) fn metrics() -> &'static Metrics {
         chunk_push_ns: register_histogram(SDTW_CHUNK_PUSH_NS),
         dp_cells: register_counter(SDTW_DP_CELLS),
         dp_rows: register_counter(SDTW_DP_ROWS),
-        band_cells_skipped: register_counter(SDTW_BAND_CELLS_SKIPPED),
         kernel_backend: register_gauge(SDTW_KERNEL_BACKEND),
         dp_ns: register_counter(SDTW_STAGE_DP_NS),
         decision_ns: register_counter(SDTW_STAGE_DECISION_NS),
@@ -91,7 +85,6 @@ pub(crate) struct ChunkSpan {
     sw: Stopwatch,
     rows_before: usize,
     cells_before: u64,
-    skipped_before: u64,
     estimate_ns_before: u64,
     decision_ns_before: u64,
 }
@@ -105,19 +98,17 @@ impl ChunkSpan {
             sw: Stopwatch::start(),
             rows_before: stream.samples_processed(),
             cells_before: stream.cells_evaluated(),
-            skipped_before: stream.band_cells_skipped(),
             estimate_ns_before: estimate_ns,
             decision_ns_before: stats.decision_ns,
         }
     }
 
     /// Closes the span: records chunk latency and flushes DP-row/cell and
-    /// phase-time deltas. Cell counts come straight from the stream, so
-    /// banded sessions report only the cells they evaluated. The DP share
-    /// is what remains of the chunk's wall-clock after the
-    /// normalize-estimation and decision-scan deltas are subtracted (the
-    /// per-sample normalize transform is a few ops against an O(reference)
-    /// DP row, so lumping it with DP skews nothing measurable).
+    /// phase-time deltas. The DP share is what remains of the chunk's
+    /// wall-clock after the normalize-estimation and decision-scan deltas
+    /// are subtracted (the per-sample normalize transform is a few ops
+    /// against an O(reference) DP row, so lumping it with DP skews nothing
+    /// measurable).
     pub fn finish(self, stream: &dyn SdtwStream, estimate_ns: u64, stats: &SessionStats) {
         let elapsed = self.sw.elapsed_ns();
         let m = metrics();
@@ -125,8 +116,6 @@ impl ChunkSpan {
         m.dp_rows
             .add((stream.samples_processed() - self.rows_before) as u64);
         m.dp_cells.add(stream.cells_evaluated() - self.cells_before);
-        m.band_cells_skipped
-            .add(stream.band_cells_skipped() - self.skipped_before);
         let estimate_delta = estimate_ns - self.estimate_ns_before;
         let decision_delta = stats.decision_ns - self.decision_ns_before;
         m.decision_ns.add(decision_delta);

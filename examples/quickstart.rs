@@ -75,39 +75,37 @@ fn main() {
     );
 
     // 5. The kernel surface: `Vector` (the default) runs the AVX2 row update
-    //    whenever reference deletions are off and the CPU has AVX2, and a
-    //    Sakoe–Chiba band evaluates only a window of DP columns re-centered
-    //    on the best alignment's track each row. Banding is a verdict-level
-    //    approximation: costs shift (out-of-band paths are lost) but a clear
-    //    target read still lands far below threshold, for a fraction of the
-    //    DP work. `sdtw.*` telemetry counters account for the saving. The
-    //    vector backend is the big software lever: the checked-in
-    //    BENCH_batch.json (200 reads x 8 kb, single thread) measures 3.333
-    //    reads/s scalar vs 33.436 reads/s vector — 10.0x.
-    let mut banded_config = FilterConfig::hardware(best.threshold);
-    banded_config.sdtw = banded_config
-        .sdtw
-        .with_band(Band::SakoeChiba { radius: 1_000 })
-        .with_backend(KernelBackend::Vector);
-    let banded = SquiggleFilter::from_genome(&model, &dataset.target_genome, banded_config);
+    //    whenever reference deletions are off and the CPU has AVX2; `Scalar`
+    //    is the one-cell-at-a-time oracle it is bit-identical to. Like the
+    //    accelerator's systolic array (one PE per reference position), every
+    //    DP row spans the whole reference, so a read costs exactly
+    //    samples x reference columns, which the `sdtw.dp_cells` telemetry
+    //    counter accounts for. The vector backend is the big software lever:
+    //    the checked-in BENCH_batch.json (200 reads x 8 kb, single thread)
+    //    measures 3.333 reads/s scalar vs 33.436 reads/s vector — 10.0x.
+    let mut scalar_config = FilterConfig::hardware(best.threshold);
+    scalar_config.sdtw = scalar_config.sdtw.with_backend(KernelBackend::Scalar);
+    let scalar = SquiggleFilter::from_genome(&model, &dataset.target_genome, scalar_config);
     let clean = model.expected_raw_squiggle(
         &dataset.target_genome.subsequence(0, 200),
         10,
         &squigglefilter::pore_model::AdcModel::default(),
     );
     let before = squigglefilter::telemetry::snapshot();
-    let banded_verdict = banded.classify(&clean).verdict;
+    let fast = filter.classify(&clean);
     let after = squigglefilter::telemetry::snapshot();
-    let full_verdict = filter.classify(&clean).verdict;
-    let evaluated = after.counter_delta(&before, squigglefilter::sdtw::telemetry::SDTW_DP_CELLS);
-    let skipped = after.counter_delta(
-        &before,
-        squigglefilter::sdtw::telemetry::SDTW_BAND_CELLS_SKIPPED,
-    );
+    let oracle = scalar.classify(&clean);
+    assert_eq!(fast, oracle, "the backends must agree bit for bit");
+    let cells = after.counter_delta(&before, squigglefilter::sdtw::telemetry::SDTW_DP_CELLS);
     println!(
-        "banded kernel (radius 1000, vector backend): {banded_verdict:?} (full-band \
-         {full_verdict:?}) on a clean target read, skipping {:.0}% of DP cells",
-        skipped as f64 / (evaluated + skipped).max(1) as f64 * 100.0
+        "{:?} kernel on a clean target read: {:?} at cost {:.0}, same as the scalar \
+         oracle; {} DP cells = {} samples x {} reference columns",
+        filter.config().sdtw.resolved_backend(),
+        fast.verdict,
+        fast.result.cost,
+        cells,
+        fast.samples_used,
+        filter.reference_samples()
     );
 
     // 6. The same filter, driven as a streaming Read Until classifier: raw

@@ -53,7 +53,7 @@ if tel.get("enabled") is not True:
 for section, keys in {
     "stage_ns": ["normalize", "dp", "decision"],
     "chunk_latency_ns": ["count", "p50", "p95", "p99", "max"],
-    "dp": ["cells", "rows", "band_cells_skipped", "software_cells_per_s"],
+    "dp": ["cells", "rows", "software_cells_per_s"],
     "counts": [
         "early_rejects",
         "stage_escalations",

@@ -88,9 +88,9 @@ pub mod prelude {
         Arrival, MicroBatchConfig, SchedulerReport, SessionId, SessionOutcome, SessionScheduler,
     };
     pub use sf_sdtw::{
-        Band, ClassifierSession, Decision, FilterConfig, FilterVerdict, KernelBackend,
-        ReadClassifier, SdtwConfig, SdtwKernel, SdtwStream, SessionState, SquiggleFilter,
-        StreamClassification, TargetId,
+        ClassifierSession, Decision, FilterConfig, FilterVerdict, KernelBackend, ReadClassifier,
+        SdtwConfig, SdtwKernel, SdtwStream, SessionState, SquiggleFilter, StreamClassification,
+        TargetId,
     };
     pub use sf_shard::{
         pan_viral_panel, panel_classifier, PanelConfig, PanelTarget, ShardedClassifier,

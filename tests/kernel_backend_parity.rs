@@ -1,9 +1,6 @@
-//! Kernel backend and banding parity: the vectorized row update must be
-//! bit-identical to the scalar oracle through the full filter stack — every
-//! precision, every chunk size, with and without mid-stream recalibration
-//! drift — and `Band::Full` must be indistinguishable from a Sakoe–Chiba
-//! band wide enough to cover the whole reference. Banding at practical radii
-//! is a verdict-level approximation, pinned here on seed-style datasets.
+//! Kernel backend parity: the vectorized row update must be bit-identical to
+//! the scalar oracle through the full filter stack — every precision, every
+//! chunk size, with and without mid-stream recalibration drift.
 
 use squigglefilter::pore_model::AdcModel;
 use squigglefilter::prelude::*;
@@ -91,80 +88,6 @@ fn vector_backend_is_bit_identical_to_scalar_through_the_filter() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn full_band_is_bit_identical_to_a_reference_covering_radius() {
-    let model = KmerModel::synthetic_r94(0);
-    let genome = squigglefilter::genome::random::random_genome(12, 2_500);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        let base = FilterConfig {
-            precision,
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let full = SquiggleFilter::from_genome(&model, &genome, base);
-        // A radius at least the reference length: every row's window spans
-        // the whole reference, so banding changes nothing at all.
-        let mut banded_config = base;
-        banded_config.sdtw = base.sdtw.with_band(Band::SakoeChiba { radius: 5_000 });
-        let banded = SquiggleFilter::from_genome(&model, &genome, banded_config);
-        for (r, read) in test_reads(&model, &genome).iter().enumerate() {
-            assert_eq!(
-                banded.classify(read),
-                full.classify(read),
-                "read {r}, {precision:?}"
-            );
-            for chunk_size in [1usize, 512] {
-                assert_eq!(
-                    stream(&banded, read, chunk_size),
-                    stream(&full, read, chunk_size),
-                    "streamed, read {r}, chunk {chunk_size}, {precision:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn practical_band_radii_preserve_verdicts_on_seed_reads() {
-    let model = KmerModel::synthetic_r94(0);
-    let genome = squigglefilter::genome::random::random_genome(12, 2_500);
-    // Calibrate a threshold between target and background costs on the
-    // unbanded filter, then require banded filters to reproduce every
-    // verdict — costs may differ (banding is an approximation), verdicts
-    // must not on these clearly-separated reads.
-    let probe = SquiggleFilter::from_genome(&model, &genome, FilterConfig::hardware(f64::MAX));
-    let target = noiseless_squiggle(&model, &genome.subsequence(400, 1_100));
-    let background = noiseless_squiggle(
-        &model,
-        &squigglefilter::genome::random::random_genome(77, 700),
-    );
-    let t_cost = probe.score(&target).unwrap().cost;
-    let b_cost = probe.score(&background).unwrap().cost;
-    assert!(t_cost < b_cost);
-    let threshold = (t_cost + b_cost) / 2.0;
-    let unbanded = SquiggleFilter::from_genome(&model, &genome, FilterConfig::hardware(threshold));
-    // Radii below ~400 distort the 10×-warped target read's cost on this
-    // dataset (the adaptive center cannot yet track the path through the
-    // early rows); from 400 up, target costs are exact and background costs
-    // stay clearly above threshold.
-    for radius in [400usize, 800] {
-        let mut config = FilterConfig::hardware(threshold);
-        config.sdtw = config.sdtw.with_band(Band::SakoeChiba { radius });
-        let banded = SquiggleFilter::from_genome(&model, &genome, config);
-        for (r, read) in test_reads(&model, &genome).iter().enumerate() {
-            assert_eq!(
-                banded.classify(read).verdict,
-                unbanded.classify(read).verdict,
-                "radius {radius}, read {r}"
-            );
-            assert_eq!(
-                stream(&banded, read, 512).verdict,
-                stream(&unbanded, read, 512).verdict,
-                "streamed, radius {radius}, read {r}"
-            );
         }
     }
 }

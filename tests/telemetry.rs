@@ -1,6 +1,6 @@
-//! Telemetry integration tests: counter exactness under a multi-worker
-//! `SessionScheduler` batch and verdict parity while the registry is being
-//! hammered concurrently.
+//! Telemetry integration tests: absolute DP accounting on both counting
+//! paths, counter exactness under a multi-worker `SessionScheduler` batch
+//! and verdict parity while the registry is being hammered concurrently.
 //!
 //! These tests only make sense with telemetry compiled in (the default);
 //! under `--no-default-features` every counter reads 0 and the assertions
@@ -9,7 +9,7 @@
 
 use squigglefilter::prelude::*;
 use squigglefilter::sched::telemetry::SCHED_EVICTIONS;
-use squigglefilter::sdtw::telemetry::SDTW_DP_CELLS;
+use squigglefilter::sdtw::telemetry::{SDTW_DP_CELLS, SDTW_DP_ROWS};
 use squigglefilter::squiggle::RawSquiggle;
 use squigglefilter::telemetry::snapshot;
 use std::sync::Mutex;
@@ -36,6 +36,45 @@ fn synthetic_reads(n: usize) -> Vec<RawSquiggle> {
             RawSquiggle::new(samples, 4_000.0)
         })
         .collect()
+}
+
+#[test]
+fn dp_cells_are_rows_times_reference_on_both_paths() {
+    let _guard = registry_lock();
+    // Threshold MAX: no early reject, so both paths run the whole prefix.
+    let model = KmerModel::synthetic_r94(0);
+    let genome = squigglefilter::genome::random::random_genome(5, 800);
+    let filter = SquiggleFilter::from_genome(&model, &genome, FilterConfig::hardware(f64::MAX));
+    let read = model.expected_raw_squiggle(
+        &genome.subsequence(100, 400),
+        10,
+        &squigglefilter::pore_model::AdcModel::default(),
+    );
+    let columns = filter.reference_samples() as u64;
+
+    // One-shot `classify`: counted by the kernel's batch flush.
+    let before = snapshot();
+    let oneshot = filter.classify(&read);
+    let after = snapshot();
+    let rows = after.counter_delta(&before, SDTW_DP_ROWS);
+    assert_eq!(rows, oneshot.samples_used as u64);
+    assert_eq!(rows, filter.config().prefix_samples as u64);
+    assert_eq!(after.counter_delta(&before, SDTW_DP_CELLS), rows * columns);
+
+    // A streaming session fed 7-sample chunks: counted by its chunk spans.
+    let before = snapshot();
+    let mut session = filter.start_read();
+    for chunk in read.samples().chunks(7) {
+        if session.push_chunk(chunk).is_final() {
+            break;
+        }
+    }
+    let streamed = session.finalize();
+    let after = snapshot();
+    let rows = after.counter_delta(&before, SDTW_DP_ROWS);
+    assert_eq!(rows, streamed.samples_consumed as u64);
+    assert_eq!(rows, filter.config().prefix_samples as u64);
+    assert_eq!(after.counter_delta(&before, SDTW_DP_CELLS), rows * columns);
 }
 
 #[test]
