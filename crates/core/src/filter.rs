@@ -337,7 +337,6 @@ pub(crate) const EMPTY_READ: Classification = Classification {
     samples_used: 0,
     result: SdtwResult {
         cost: 0.0,
-        start_position: 0,
         end_position: 0,
         query_samples: 0,
     },

@@ -85,10 +85,8 @@ pub trait SdtwLane: fmt::Debug + Clone + Copy + Send + Sync + 'static {
         hi: usize,
         row: &[Self::Cost],
         dwell: &[u32],
-        starts: &[u32],
         out_row: &mut [Self::Cost],
         out_dwell: &mut [u32],
-        out_starts: &mut [u32],
     );
 }
 
@@ -138,10 +136,8 @@ impl SdtwLane for IntLane {
         hi: usize,
         row: &[i32],
         dwell: &[u32],
-        starts: &[u32],
         out_row: &mut [i32],
         out_dwell: &mut [u32],
-        out_starts: &mut [u32],
     ) {
         avx2::int_row(
             config.distance,
@@ -152,10 +148,8 @@ impl SdtwLane for IntLane {
             hi,
             row,
             dwell,
-            starts,
             out_row,
             out_dwell,
-            out_starts,
         )
     }
 }
@@ -203,10 +197,8 @@ impl SdtwLane for FloatLane {
         hi: usize,
         row: &[f32],
         dwell: &[u32],
-        starts: &[u32],
         out_row: &mut [f32],
         out_dwell: &mut [u32],
-        out_starts: &mut [u32],
     ) {
         avx2::float_row(
             config.distance,
@@ -217,10 +209,8 @@ impl SdtwLane for FloatLane {
             hi,
             row,
             dwell,
-            starts,
             out_row,
             out_dwell,
-            out_starts,
         )
     }
 }
@@ -290,7 +280,7 @@ pub struct Sdtw<L: SdtwLane> {
 /// let aligner = IntSdtw::new(SdtwConfig::hardware_without_bonus(), reference);
 /// let result = aligner.align(&query).unwrap();
 /// assert_eq!(result.cost, 0.0);
-/// assert!(result.start_position >= 30 && result.end_position < 50);
+/// assert!((30..50).contains(&result.end_position));
 /// ```
 pub type IntSdtw = Sdtw<IntLane>;
 
@@ -307,7 +297,7 @@ pub type IntSdtw = Sdtw<IntLane>;
 /// let aligner = FloatSdtw::new(SdtwConfig::hardware_without_bonus(), reference);
 /// let result = aligner.align(&query).unwrap();
 /// assert_eq!(result.cost, 0.0);
-/// assert!(result.start_position >= 40 && result.end_position < 60);
+/// assert!((40..60).contains(&result.end_position));
 /// ```
 pub type FloatSdtw = Sdtw<FloatLane>;
 
@@ -319,12 +309,6 @@ impl<L: SdtwLane> Sdtw<L> {
     /// Panics if the reference is empty.
     pub fn new(config: SdtwConfig, reference: Vec<L::Sample>) -> Self {
         assert!(!reference.is_empty(), "reference signal must not be empty");
-        // Alignment starts are tracked as `u32` column indices (half the
-        // memory traffic of `usize`, and one 32-bit SIMD lane per column).
-        assert!(
-            u32::try_from(reference.len()).is_ok(),
-            "reference signal longer than u32::MAX samples"
-        );
         let backend = config.resolved_backend();
         crate::telemetry::metrics()
             .kernel_backend
@@ -367,10 +351,8 @@ impl<L: SdtwLane> Sdtw<L> {
             engine: self,
             row: vec![L::Cost::default(); m],
             dwell: vec![0; m],
-            starts: vec![0; m],
             scratch_row: vec![L::Cost::default(); m],
             scratch_dwell: vec![0; m],
-            scratch_starts: vec![0; m],
             samples: 0,
         }
     }
@@ -398,8 +380,9 @@ impl<L: SdtwLane> SdtwKernel for Sdtw<L> {
     }
 }
 
-/// Streaming state of an in-progress alignment: one DP row plus per-column
-/// dwell counters and alignment-start bookkeeping.
+/// Streaming state of an in-progress alignment: one DP row of costs plus
+/// per-column dwell counters — the two values each of the accelerator's PEs
+/// registers per cell.
 ///
 /// The row can be inspected; it is what the accelerator spills to DRAM
 /// between multi-stage filtering stages (paper §4.6, §5.1).
@@ -408,10 +391,8 @@ pub struct KernelStream<'a, L: SdtwLane> {
     engine: &'a Sdtw<L>,
     row: Vec<L::Cost>,
     dwell: Vec<u32>,
-    starts: Vec<u32>,
     scratch_row: Vec<L::Cost>,
     scratch_dwell: Vec<u32>,
-    scratch_starts: Vec<u32>,
     samples: usize,
 }
 
@@ -465,7 +446,6 @@ impl<L: SdtwLane> KernelStream<'_, L> {
             for j in 0..m {
                 self.row[j] = L::distance(config.distance, q, reference[j]);
                 self.dwell[j] = 1;
-                self.starts[j] = j as u32;
             }
             self.samples = 1;
             return;
@@ -481,10 +461,8 @@ impl<L: SdtwLane> KernelStream<'_, L> {
                     q,
                     &self.row,
                     &self.dwell,
-                    &self.starts,
                     &mut self.scratch_row,
                     &mut self.scratch_dwell,
-                    &mut self.scratch_starts,
                 )
             },
             _ => scalar_row::<L>(
@@ -495,15 +473,12 @@ impl<L: SdtwLane> KernelStream<'_, L> {
                 m,
                 &self.row,
                 &self.dwell,
-                &self.starts,
                 &mut self.scratch_row,
                 &mut self.scratch_dwell,
-                &mut self.scratch_starts,
             ),
         }
         std::mem::swap(&mut self.row, &mut self.scratch_row);
         std::mem::swap(&mut self.dwell, &mut self.scratch_dwell);
-        std::mem::swap(&mut self.starts, &mut self.scratch_starts);
         self.samples += 1;
         // sf-lint: end-hot-path
     }
@@ -525,7 +500,6 @@ impl<L: SdtwLane> KernelStream<'_, L> {
         }
         Some(SdtwResult {
             cost: L::cost_to_f64(end_cost),
-            start_position: self.starts[end] as usize,
             end_position: end,
             query_samples: self.samples,
         })
@@ -541,11 +515,6 @@ impl<L: SdtwLane> KernelStream<'_, L> {
     /// position in the best path ending there).
     pub fn dwell(&self) -> &[u32] {
         &self.dwell
-    }
-
-    /// The per-column alignment start positions (column indices).
-    pub fn starts(&self) -> &[u32] {
-        &self.starts
     }
 }
 
@@ -584,10 +553,8 @@ fn scalar_row<L: SdtwLane>(
     hi: usize,
     row: &[L::Cost],
     dwell: &[u32],
-    starts: &[u32],
     out_row: &mut [L::Cost],
     out_dwell: &mut [u32],
-    out_starts: &mut [u32],
 ) {
     // sf-lint: hot-path
     let bonus = config.match_bonus;
@@ -596,7 +563,6 @@ fn scalar_row<L: SdtwLane>(
         // Vertical: same reference base consumes another query sample.
         let mut best = row[j];
         let mut best_dwell = dwell[j] + 1;
-        let mut best_start = starts[j];
         if j > 0 {
             // Diagonal: advance to a new reference base.
             let mut diag = row[j - 1];
@@ -606,7 +572,6 @@ fn scalar_row<L: SdtwLane>(
             if diag < best {
                 best = diag;
                 best_dwell = 1;
-                best_start = starts[j - 1];
             }
             // Reference deletion: same query sample spans another base.
             if config.allow_reference_deletion {
@@ -614,13 +579,11 @@ fn scalar_row<L: SdtwLane>(
                 if left < best {
                     best = left;
                     best_dwell = 1;
-                    best_start = out_starts[j - 1];
                 }
             }
         }
         out_row[j] = L::accumulate(best, d);
         out_dwell[j] = best_dwell;
-        out_starts[j] = best_start;
     }
     // sf-lint: end-hot-path
 }
@@ -637,31 +600,26 @@ fn scalar_row<L: SdtwLane>(
 /// The CPU must support AVX2, which holds whenever the engine's backend
 /// resolved to [`KernelBackend::Vector`].
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn vector_row<L: SdtwLane>(
     config: &SdtwConfig,
     reference: &[L::Sample],
     q: L::Sample,
     row: &[L::Cost],
     dwell: &[u32],
-    starts: &[u32],
     out_row: &mut [L::Cost],
     out_dwell: &mut [u32],
-    out_starts: &mut [u32],
 ) {
     // sf-lint: hot-path
     debug_assert!(!config.allow_reference_deletion);
     // `Sdtw::new` rejects empty references, so column 0 always exists.
     let m = reference.len();
     let body_hi = 1 + (m - 1) / 8 * 8;
-    scalar_row::<L>(
-        config, reference, q, 0, 1, row, dwell, starts, out_row, out_dwell, out_starts,
-    );
+    scalar_row::<L>(config, reference, q, 0, 1, row, dwell, out_row, out_dwell);
     L::avx2_body(
-        config, reference, q, 1, body_hi, row, dwell, starts, out_row, out_dwell, out_starts,
+        config, reference, q, 1, body_hi, row, dwell, out_row, out_dwell,
     );
     scalar_row::<L>(
-        config, reference, q, body_hi, m, row, dwell, starts, out_row, out_dwell, out_starts,
+        config, reference, q, body_hi, m, row, dwell, out_row, out_dwell,
     );
     // sf-lint: end-hot-path
 }
@@ -731,10 +689,8 @@ mod avx2 {
         hi: usize,
         row: &[i32],
         dwell: &[u32],
-        starts: &[u32],
         out_row: &mut [i32],
         out_dwell: &mut [u32],
-        out_starts: &mut [u32],
     ) {
         // sf-lint: hot-path
         debug_assert!(lo >= 1 && (hi - lo) % 8 == 0 && hi <= row.len());
@@ -777,12 +733,6 @@ mod avx2 {
                 out_dwell.as_mut_ptr().add(j) as *mut __m256i,
                 _mm256_blendv_epi8(_mm256_add_epi32(vert_dw, ones), ones, take),
             );
-            let vert_st = _mm256_loadu_si256(starts.as_ptr().add(j) as *const __m256i);
-            let diag_st = _mm256_loadu_si256(starts.as_ptr().add(j - 1) as *const __m256i);
-            _mm256_storeu_si256(
-                out_starts.as_mut_ptr().add(j) as *mut __m256i,
-                _mm256_blendv_epi8(vert_st, diag_st, take),
-            );
             j += 8;
         }
         // sf-lint: end-hot-path
@@ -802,10 +752,8 @@ mod avx2 {
         hi: usize,
         row: &[f32],
         dwell: &[u32],
-        starts: &[u32],
         out_row: &mut [f32],
         out_dwell: &mut [u32],
-        out_starts: &mut [u32],
     ) {
         // sf-lint: hot-path
         debug_assert!(lo >= 1 && (hi - lo) % 8 == 0 && hi <= row.len());
@@ -847,12 +795,6 @@ mod avx2 {
                 out_dwell.as_mut_ptr().add(j) as *mut __m256i,
                 _mm256_blendv_epi8(_mm256_add_epi32(vert_dw, ones), ones, take_bits),
             );
-            let vert_st = _mm256_loadu_si256(starts.as_ptr().add(j) as *const __m256i);
-            let diag_st = _mm256_loadu_si256(starts.as_ptr().add(j - 1) as *const __m256i);
-            _mm256_storeu_si256(
-                out_starts.as_mut_ptr().add(j) as *mut __m256i,
-                _mm256_blendv_epi8(vert_st, diag_st, take_bits),
-            );
             j += 8;
         }
         // sf-lint: end-hot-path
@@ -893,14 +835,13 @@ mod tests {
         ]
     }
 
-    /// Full-state equality: row, dwell, starts AND the reported best.
+    /// Full-state equality: row, dwell AND the reported best.
     fn assert_streams_identical<L: SdtwLane>(a: &KernelStream<'_, L>, b: &KernelStream<'_, L>)
     where
         L::Cost: PartialEq,
     {
         assert_eq!(a.row(), b.row());
         assert_eq!(a.dwell(), b.dwell());
-        assert_eq!(a.starts(), b.starts());
         assert_eq!(a.best(), b.best());
     }
 

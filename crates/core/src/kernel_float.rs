@@ -34,7 +34,6 @@ mod tests {
         let aligner = FloatSdtw::new(SdtwConfig::hardware_without_bonus(), reference);
         let result = aligner.align(&query).unwrap();
         assert_eq!(result.cost, 0.0);
-        assert_eq!(result.start_position, 50);
         assert_eq!(result.end_position, 79);
         assert_eq!(result.query_samples, 30);
     }
@@ -49,7 +48,6 @@ mod tests {
         let aligner = FloatSdtw::new(SdtwConfig::hardware_without_bonus(), reference);
         let result = aligner.align(&query).unwrap();
         assert_eq!(result.cost, 0.0);
-        assert_eq!(result.start_position, 20);
         assert_eq!(result.end_position, 59);
     }
 
@@ -143,7 +141,6 @@ mod tests {
         let aligner = FloatSdtw::new(SdtwConfig::hardware_without_bonus(), vec![1.0]);
         let result = aligner.align(&[1.0, 2.0, 1.0]).unwrap();
         assert_eq!(result.cost, 1.0);
-        assert_eq!(result.start_position, 0);
         assert_eq!(result.end_position, 0);
     }
 

@@ -4,62 +4,17 @@
 ///
 /// `cost` is the subsequence-DTW alignment cost of the *best* alignment of
 /// the whole query to any contiguous region of the reference;
-/// `start_position..=end_position` is that region (in reference samples).
+/// `end_position` is where that region ends (in reference samples). Like
+/// the accelerator, the kernels keep only cost and dwell per cell, so where
+/// the region starts is not tracked.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SdtwResult {
     /// Total alignment cost (lower is better; may be negative when the match
     /// bonus is enabled).
     pub cost: f64,
-    /// Reference index of the first sample of the best alignment.
-    pub start_position: usize,
-    /// Reference index of the last sample of the best alignment.
+    /// Reference index of the last sample of the best alignment (the first
+    /// column reaching the minimum cost).
     pub end_position: usize,
     /// Number of query samples consumed.
     pub query_samples: usize,
-}
-
-impl SdtwResult {
-    /// Alignment cost divided by the number of query samples — a
-    /// length-independent score useful for comparing different prefix
-    /// lengths.
-    pub fn cost_per_sample(&self) -> f64 {
-        if self.query_samples == 0 {
-            return 0.0;
-        }
-        self.cost / self.query_samples as f64
-    }
-
-    /// Number of reference samples spanned by the best alignment.
-    pub fn reference_span(&self) -> usize {
-        self.end_position.saturating_sub(self.start_position) + 1
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn per_sample_cost_and_span() {
-        let result = SdtwResult {
-            cost: 500.0,
-            start_position: 100,
-            end_position: 149,
-            query_samples: 250,
-        };
-        assert_eq!(result.cost_per_sample(), 2.0);
-        assert_eq!(result.reference_span(), 50);
-    }
-
-    #[test]
-    fn zero_samples_is_safe() {
-        let result = SdtwResult {
-            cost: 0.0,
-            start_position: 0,
-            end_position: 0,
-            query_samples: 0,
-        };
-        assert_eq!(result.cost_per_sample(), 0.0);
-        assert_eq!(result.reference_span(), 1);
-    }
 }

@@ -5,7 +5,8 @@
 //! datapath is: take the minimum of the previous neighbour's outputs from one
 //! and two cycles ago (optionally reduced by the match bonus), add the
 //! absolute difference between the held query sample and the incoming
-//! reference sample, and register the result for the next PE.
+//! reference sample, and register the result for the next PE. The registered
+//! state is exactly the RTL's: the cost, the dwell count and a valid bit.
 
 use sf_sdtw::config::SdtwConfig;
 
@@ -22,10 +23,6 @@ pub struct PeOutput {
     /// Number of query samples aligned to the current reference base on the
     /// best path ending at this cell (feeds the match bonus).
     pub dwell: u32,
-    /// Reference index of the start of the best alignment ending at this
-    /// cell (not present in the RTL, carried here for software-equivalence
-    /// checks).
-    pub start: usize,
     /// Whether this output corresponds to a real matrix cell (the wavefront
     /// has reached this PE) or is padding.
     pub valid: bool,
@@ -37,7 +34,6 @@ impl PeOutput {
         PeOutput {
             cost: i32::MAX,
             dwell: 0,
-            start: 0,
             valid: false,
         }
     }
@@ -81,20 +77,16 @@ impl ProcessingElement {
 
     /// Executes one cycle.
     ///
-    /// * `reference` — the reference sample reaching this PE this cycle, with
-    ///   its index, or `None` if the wavefront has not arrived / has passed.
+    /// * `reference` — the reference sample reaching this PE this cycle, or
+    ///   `None` if the wavefront has not arrived / has passed.
     /// * `neighbour` — the output produced by PE `index - 1` *this* cycle
     ///   (it becomes this PE's `prev1` next cycle). For PE 0 pass `None`.
     ///
     /// Returns the output computed this cycle.
-    pub fn tick(
-        &mut self,
-        reference: Option<(usize, i8)>,
-        neighbour: Option<PeOutput>,
-    ) -> PeOutput {
+    pub fn tick(&mut self, reference: Option<i8>, neighbour: Option<PeOutput>) -> PeOutput {
         let output = match reference {
             None => PeOutput::invalid(),
-            Some((j, r)) => {
+            Some(r) => {
                 let d = self.config.distance.eval_i8(self.query, r);
                 if self.index == 0 {
                     // First query sample: subsequence DTW allows the alignment
@@ -102,14 +94,12 @@ impl ProcessingElement {
                     PeOutput {
                         cost: d,
                         dwell: 1,
-                        start: j,
                         valid: true,
                     }
                 } else {
                     // Vertical predecessor: (i-1, j) — neighbour's output last
                     // cycle.
                     let mut dwell = self.prev1.dwell.saturating_add(1);
-                    let mut start = self.prev1.start;
                     let mut cost = if self.prev1.valid {
                         self.prev1.cost
                     } else {
@@ -125,7 +115,6 @@ impl ProcessingElement {
                         if diag < cost {
                             cost = diag;
                             dwell = 1;
-                            start = self.prev2.start;
                         }
                     }
                     // Horizontal predecessor: (i, j-1) — this PE's own output
@@ -136,7 +125,6 @@ impl ProcessingElement {
                     {
                         cost = self.own_prev.cost;
                         dwell = 1;
-                        start = self.own_prev.start;
                     }
                     if cost == i32::MAX {
                         // No valid predecessor: this cell is unreachable
@@ -146,7 +134,6 @@ impl ProcessingElement {
                         PeOutput {
                             cost: cost.saturating_add(d),
                             dwell,
-                            start,
                             valid: true,
                         }
                     }
@@ -169,13 +156,11 @@ mod tests {
     #[test]
     fn first_pe_computes_free_start_costs() {
         let mut pe = ProcessingElement::new(0, 10, SdtwConfig::hardware_without_bonus());
-        let out = pe.tick(Some((0, 14)), None);
+        let out = pe.tick(Some(14), None);
         assert!(out.valid);
         assert_eq!(out.cost, 4);
-        assert_eq!(out.start, 0);
-        let out = pe.tick(Some((1, -10)), None);
+        let out = pe.tick(Some(-10), None);
         assert_eq!(out.cost, 20);
-        assert_eq!(out.start, 1);
     }
 
     #[test]
@@ -196,28 +181,25 @@ mod tests {
             Some(PeOutput {
                 cost: 7,
                 dwell: 1,
-                start: 0,
                 valid: true,
             }),
         );
         // Cycle 1: neighbour produced (0, 1) with cost 2; we compute (1, 0):
         // only vertical predecessor (0,0) = 7 is valid.
         let out = pe.tick(
-            Some((0, 5)),
+            Some(5),
             Some(PeOutput {
                 cost: 2,
                 dwell: 1,
-                start: 1,
                 valid: true,
             }),
         );
         assert_eq!(out.cost, 7); // |5-5| + 7
         assert_eq!(out.dwell, 2);
         // Cycle 2: compute (1, 1): vertical = (0,1) = 2, diagonal = (0,0) = 7.
-        let out = pe.tick(Some((1, 6)), None);
+        let out = pe.tick(Some(6), None);
         assert_eq!(out.cost, 2 + 1);
         assert_eq!(out.dwell, 2);
-        assert_eq!(out.start, 1);
     }
 
     #[test]
@@ -229,21 +211,19 @@ mod tests {
             Some(PeOutput {
                 cost: 100,
                 dwell: 7,
-                start: 0,
                 valid: true,
             }),
         );
         // Diagonal predecessor has dwell 7 → bonus 70; vertical is expensive.
         pe.tick(
-            Some((0, 0)),
+            Some(0),
             Some(PeOutput {
                 cost: 1_000,
                 dwell: 1,
-                start: 1,
                 valid: true,
             }),
         );
-        let out = pe.tick(Some((1, 0)), None);
+        let out = pe.tick(Some(0), None);
         // diag = 100 - 70 = 30 beats vertical 1000.
         assert_eq!(out.cost, 30);
         assert_eq!(out.dwell, 1);

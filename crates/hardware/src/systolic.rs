@@ -96,7 +96,6 @@ impl SystolicArray {
         let mut last_row = vec![i32::MAX; m];
         let mut best_cost = i32::MAX;
         let mut best_end = 0usize;
-        let mut best_start = 0usize;
 
         // Outputs produced by each PE in the *current* cycle, consumed by the
         // next PE in the same loop iteration (it models the registered
@@ -111,7 +110,7 @@ impl SystolicArray {
                 let reference_sample = cycle
                     .checked_sub(i)
                     .filter(|&j| j < m)
-                    .map(|j| (j, reference[j]));
+                    .map(|j| reference[j]);
                 let out = pe.tick(reference_sample, prev_output);
                 prev_output = Some(out);
                 outputs[i] = out;
@@ -122,10 +121,11 @@ impl SystolicArray {
             if last.valid {
                 let j = cycle - (n - 1);
                 last_row[j] = last.cost;
-                if last.cost < best_cost || (last.cost == best_cost && j > best_end) {
+                // Strict `<` keeps the first minimum, as the software
+                // kernel's `best` does.
+                if last.cost < best_cost {
                     best_cost = last.cost;
                     best_end = j;
-                    best_start = last.start;
                 }
             }
         }
@@ -133,7 +133,6 @@ impl SystolicArray {
         SystolicRun {
             best: SdtwResult {
                 cost: best_cost as f64,
-                start_position: best_start,
                 end_position: best_end,
                 query_samples: n,
             },
@@ -179,9 +178,11 @@ mod tests {
             let mut stream = software.stream();
             stream.extend(&query);
             assert_eq!(run.last_row, stream.row(), "row mismatch for {config:?}");
-            let expected = stream.best().unwrap();
-            assert_eq!(run.best.cost, expected.cost, "cost mismatch for {config:?}");
-            assert_eq!(run.best.query_samples, expected.query_samples);
+            assert_eq!(
+                run.best,
+                stream.best().unwrap(),
+                "best mismatch for {config:?}"
+            );
         }
     }
 
@@ -193,7 +194,6 @@ mod tests {
         let run = array.classify(&query, &reference);
         assert_eq!(run.best.cost, 0.0);
         assert_eq!(run.best.end_position, 149);
-        assert_eq!(run.best.start_position, 100);
         assert_eq!(run.cycles, 50 + 300 - 1);
         assert_eq!(run.active_pes, 50);
     }

@@ -34,10 +34,7 @@ fn hardware_and_software_agree_on_simulated_reads() {
         let query = normalizer.normalize_raw_quantized(prefix.samples());
         let hw = array.classify(&query, &quantized);
         let sw = kernel.align(&query).expect("non-empty query");
-        assert_eq!(
-            hw.best.cost, sw.cost,
-            "hardware and software kernels must agree"
-        );
+        assert_eq!(hw.best, sw, "hardware and software kernels must agree");
     }
 }
 

@@ -7,6 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use squigglefilter::genome::{Base, PackedSequence, Sequence};
+use squigglefilter::hw::SystolicArray;
 use squigglefilter::sdtw::{calibrate_threshold, FloatSdtw, IntSdtw, SdtwConfig};
 use squigglefilter::squiggle::normalize::{dequantize, quantize, Normalizer};
 
@@ -106,7 +107,7 @@ fn sdtw_cost_is_nonnegative_without_bonus() {
         let aligner = IntSdtw::new(SdtwConfig::hardware_without_bonus(), reference);
         let result = aligner.align(&query).unwrap();
         assert!(result.cost >= 0.0);
-        assert!(result.end_position >= result.start_position);
+        assert!(result.end_position < aligner.reference().len());
         assert_eq!(result.query_samples, query.len());
     });
 }
@@ -146,6 +147,37 @@ fn int_and_float_kernels_agree() {
                 .unwrap();
             assert_eq!(int.cost, float.cost);
             assert_eq!(int.end_position, float.end_position);
+        }
+    });
+}
+
+#[test]
+fn hardware_and_software_agree_on_repeated_segments() {
+    // A reference holding the same segment twice gives tied minima; the
+    // systolic array and the software kernel must report the same (first)
+    // one, not just the same cost.
+    for_each_case(13, |rng| {
+        let segment = random_i8_vec(rng, 4, 16);
+        let mut reference = random_i8_vec(rng, 0, 10);
+        reference.extend(&segment);
+        reference.extend(random_i8_vec(rng, 0, 10));
+        reference.extend(&segment);
+        reference.extend(random_i8_vec(rng, 0, 10));
+        let warp = rng.random_bool(0.5);
+        let query: Vec<i8> = segment
+            .iter()
+            .flat_map(|&x| {
+                std::iter::repeat_n(x, if warp { rng.random_range(1usize..4) } else { 1 })
+            })
+            .collect();
+        for config in [
+            SdtwConfig::hardware(),
+            SdtwConfig::hardware_without_bonus(),
+            SdtwConfig::vanilla(),
+        ] {
+            let hardware = SystolicArray::new(config, query.len()).classify(&query, &reference);
+            let software = IntSdtw::new(config, reference.clone()).align(&query);
+            assert_eq!(Some(hardware.best), software, "config {config:?}");
         }
     });
 }
