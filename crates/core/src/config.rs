@@ -51,34 +51,17 @@ impl DistanceMetric {
     }
 }
 
-/// Configuration of the translocation-rate-compensating match bonus
-/// (paper §4.7, "Match Bonus").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub struct MatchBonus {
-    /// Cost reduction granted per sample that was aligned to the previous
-    /// reference base (the paper uses 10).
-    pub bonus_per_sample: u32,
-    /// The dwell count is clamped to this value before scaling (the paper
-    /// uses 10).
-    pub dwell_cap: u32,
-}
+/// Cost reduction per sample aligned to the previous reference base when
+/// the alignment moves on to a new base (paper §4.7, "Match Bonus": 10).
+pub const MATCH_BONUS_PER_SAMPLE: u32 = 10;
+/// The dwell count is clamped to this value before scaling (paper §4.7: 10).
+pub const MATCH_BONUS_DWELL_CAP: u32 = 10;
 
-impl Default for MatchBonus {
-    fn default() -> Self {
-        MatchBonus {
-            bonus_per_sample: 10,
-            dwell_cap: 10,
-        }
-    }
-}
-
-impl MatchBonus {
-    /// Bonus granted when transitioning to a new reference base after having
-    /// aligned `dwell` query samples to the previous base.
-    #[inline]
-    pub fn bonus_for_dwell(&self, dwell: u32) -> u32 {
-        self.bonus_per_sample * dwell.min(self.dwell_cap)
-    }
+/// Bonus granted when transitioning to a new reference base after having
+/// aligned `dwell` query samples to the previous base.
+#[inline]
+pub fn bonus_for_dwell(dwell: u32) -> u32 {
+    MATCH_BONUS_PER_SAMPLE * dwell.min(MATCH_BONUS_DWELL_CAP)
 }
 
 /// Which row-update implementation the kernels run.
@@ -113,8 +96,9 @@ pub struct SdtwConfig {
     /// reference bases (the `S[i][j-1]` dependency). The accelerator removes
     /// this.
     pub allow_reference_deletion: bool,
-    /// Optional match bonus.
-    pub match_bonus: Option<MatchBonus>,
+    /// Whether the translocation-rate-compensating match bonus
+    /// ([`bonus_for_dwell`]) rewards diagonal moves.
+    pub match_bonus: bool,
     /// Row-update implementation selector.
     pub backend: KernelBackend,
 }
@@ -126,7 +110,7 @@ impl SdtwConfig {
         SdtwConfig {
             distance: DistanceMetric::Squared,
             allow_reference_deletion: true,
-            match_bonus: None,
+            match_bonus: false,
             backend: KernelBackend::Vector,
         }
     }
@@ -138,7 +122,7 @@ impl SdtwConfig {
         SdtwConfig {
             distance: DistanceMetric::Absolute,
             allow_reference_deletion: false,
-            match_bonus: Some(MatchBonus::default()),
+            match_bonus: true,
             backend: KernelBackend::Vector,
         }
     }
@@ -147,7 +131,7 @@ impl SdtwConfig {
     /// ablation points).
     pub fn hardware_without_bonus() -> Self {
         SdtwConfig {
-            match_bonus: None,
+            match_bonus: false,
             ..Self::hardware()
         }
     }
@@ -163,13 +147,6 @@ impl SdtwConfig {
     #[must_use]
     pub fn with_reference_deletions(mut self, allow: bool) -> Self {
         self.allow_reference_deletion = allow;
-        self
-    }
-
-    /// Sets (or clears) the match bonus.
-    #[must_use]
-    pub fn with_match_bonus(mut self, bonus: Option<MatchBonus>) -> Self {
-        self.match_bonus = bonus;
         self
     }
 
@@ -203,13 +180,14 @@ impl SdtwConfig {
     /// Without a match bonus every transition adds a non-negative distance,
     /// so the row minimum never decreases and the slack is zero. With a
     /// bonus, consider the potential `Φ(n) = min_j (row[j] - B(dwell[j]))`
-    /// where `B(w) = bonus_per_sample * min(w, dwell_cap)`: a vertical move
-    /// raises `B` by at most `bonus_per_sample`, and a diagonal move pays its
-    /// bonus out of the predecessor's `B` while resetting dwell to 1 — so
-    /// `Φ` drops by at most `bonus_per_sample` per pushed sample, and
-    /// `min(row) ≥ Φ ≥ min(row) - B_max` at all times. Hence the final cost
+    /// where `B(w) = bonus_for_dwell(w)`: a vertical move raises `B` by at
+    /// most [`MATCH_BONUS_PER_SAMPLE`], and a diagonal move pays its bonus
+    /// out of the predecessor's `B` while resetting dwell to 1 — so `Φ`
+    /// drops by at most `MATCH_BONUS_PER_SAMPLE` per pushed sample, and
+    /// `min(row) ≥ Φ ≥ min(row) - B_max` at all times, where
+    /// `B_max = bonus_for_dwell(MATCH_BONUS_DWELL_CAP)`. Hence the final cost
     /// is at least the current cost minus
-    /// `bonus_per_sample * remaining_samples + B_max`.
+    /// `MATCH_BONUS_PER_SAMPLE * remaining_samples + B_max`.
     ///
     /// Streaming sessions use this to reject early *soundly*: once
     /// `current_cost - early_reject_slack(remaining) > threshold`, the
@@ -227,13 +205,11 @@ impl SdtwConfig {
     /// `classify` reaches on the full prefix. The expanded proof lives in
     /// `docs/streaming.md`.
     pub fn early_reject_slack(&self, remaining_samples: usize) -> f64 {
-        match self.match_bonus {
-            None => 0.0,
-            Some(b) => {
-                (b.bonus_per_sample as u64 * remaining_samples as u64
-                    + b.bonus_for_dwell(b.dwell_cap) as u64) as f64
-            }
+        if !self.match_bonus {
+            return 0.0;
         }
+        (u64::from(MATCH_BONUS_PER_SAMPLE) * remaining_samples as u64
+            + u64::from(bonus_for_dwell(MATCH_BONUS_DWELL_CAP))) as f64
     }
 }
 
@@ -253,11 +229,10 @@ mod tests {
 
     #[test]
     fn match_bonus_caps_dwell() {
-        let bonus = MatchBonus::default();
-        assert_eq!(bonus.bonus_for_dwell(0), 0);
-        assert_eq!(bonus.bonus_for_dwell(3), 30);
-        assert_eq!(bonus.bonus_for_dwell(10), 100);
-        assert_eq!(bonus.bonus_for_dwell(500), 100);
+        assert_eq!(bonus_for_dwell(0), 0);
+        assert_eq!(bonus_for_dwell(3), 30);
+        assert_eq!(bonus_for_dwell(10), 100);
+        assert_eq!(bonus_for_dwell(500), 100);
     }
 
     #[test]
@@ -265,34 +240,24 @@ mod tests {
         let vanilla = SdtwConfig::vanilla();
         assert_eq!(vanilla.distance, DistanceMetric::Squared);
         assert!(vanilla.allow_reference_deletion);
-        assert!(vanilla.match_bonus.is_none());
+        assert!(!vanilla.match_bonus);
 
         let hw = SdtwConfig::hardware();
         assert_eq!(hw.distance, DistanceMetric::Absolute);
         assert!(!hw.allow_reference_deletion);
-        assert_eq!(
-            hw.match_bonus,
-            Some(MatchBonus {
-                bonus_per_sample: 10,
-                dwell_cap: 10
-            })
-        );
+        assert!(hw.match_bonus);
+        assert_eq!((MATCH_BONUS_PER_SAMPLE, MATCH_BONUS_DWELL_CAP), (10, 10));
 
-        assert!(SdtwConfig::hardware_without_bonus().match_bonus.is_none());
+        assert!(!SdtwConfig::hardware_without_bonus().match_bonus);
     }
 
     #[test]
     fn builder_style_overrides() {
         let config = SdtwConfig::vanilla()
             .with_distance(DistanceMetric::Absolute)
-            .with_reference_deletions(false)
-            .with_match_bonus(Some(MatchBonus {
-                bonus_per_sample: 5,
-                dwell_cap: 4,
-            }));
+            .with_reference_deletions(false);
         assert_eq!(config.distance, DistanceMetric::Absolute);
         assert!(!config.allow_reference_deletion);
-        assert_eq!(config.match_bonus.unwrap().bonus_for_dwell(9), 20);
     }
 
     #[test]

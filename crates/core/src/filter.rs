@@ -1,5 +1,5 @@
-//! The SquiggleFilter, and the staged streaming engine behind every sDTW
-//! filter in this crate.
+//! The SquiggleFilter: the staged sDTW filter behind every classifier in
+//! this crate, one-shot and streaming.
 //!
 //! A [`SquiggleFilter`] owns the pre-computed reference squiggle of the target
 //! virus (forward and reverse strands), a normalizer and an sDTW kernel. For
@@ -15,7 +15,7 @@
 //! Multi-stage filtering (paper §4.6) is an optional earlier, permissive
 //! decision point: [`FilterConfig::early_stage`] rejects at a shorter prefix,
 //! and the accelerator carries its DP row across the stage boundary to the
-//! final `prefix_samples`/`threshold` test. One staged engine backs both
+//! final `prefix_samples`/`threshold` test. One staged loop backs both
 //! shapes, and every read streams through one [`FilterSession`].
 
 use crate::classifier::{
@@ -239,33 +239,41 @@ impl Default for FilterConfig {
 #[derive(Debug, Clone)]
 pub struct SquiggleFilter {
     config: FilterConfig,
-    engine: StagedEngine,
+    /// The `config.precision` kernel over both strands of the reference.
+    kernel: Box<dyn SdtwKernel>,
+    /// [`FilterConfig::stages`]: non-empty, in strictly increasing
+    /// `prefix_samples` order.
+    stages: Vec<Stage>,
 }
 
 impl SquiggleFilter {
     /// Builds a filter from a pre-computed reference squiggle: a staged
-    /// engine deciding at the early stage, if any, then at `prefix_samples`
+    /// filter deciding at the early stage, if any, then at `prefix_samples`
     /// against `threshold`.
     ///
     /// # Panics
     ///
-    /// Panics if the early stage's prefix is not below `prefix_samples`.
+    /// Panics if the early stage's prefix is zero or not below
+    /// `prefix_samples`.
     pub fn new(reference: &ReferenceSquiggle, config: FilterConfig) -> Self {
         if let Some(early) = config.early_stage {
             assert!(
-                early.prefix_samples < config.prefix_samples,
-                "stage prefixes must be strictly increasing"
+                0 < early.prefix_samples && early.prefix_samples < config.prefix_samples,
+                "stage prefixes must be positive and strictly increasing"
             );
         }
-        SquiggleFilter {
-            engine: StagedEngine::new(
-                reference,
-                config.precision,
+        let kernel: Box<dyn SdtwKernel> = match config.precision {
+            FilterPrecision::Int8 => Box::new(IntSdtw::new(
                 config.sdtw,
-                config.normalizer,
-                config.stages(),
-                config.early_exit_interval,
-            ),
+                reference.concatenated_quantized(),
+            )),
+            FilterPrecision::Float32 => {
+                Box::new(FloatSdtw::new(config.sdtw, reference.concatenated()))
+            }
+        };
+        SquiggleFilter {
+            kernel,
+            stages: config.stages(),
             config,
         }
     }
@@ -285,7 +293,7 @@ impl SquiggleFilter {
     /// Number of reference samples scanned per classification (forward plus
     /// reverse strand).
     pub fn reference_samples(&self) -> usize {
-        self.engine.reference_samples()
+        self.kernel.reference_len()
     }
 
     /// Scores a read prefix: normalizes, quantizes (if configured) and runs
@@ -295,7 +303,7 @@ impl SquiggleFilter {
     /// [`FilterPrecision::Int8`], which is bit-identical to quantizing the
     /// whole normalized prefix up front.
     pub fn score(&self, squiggle: &RawSquiggle) -> Option<SdtwResult> {
-        Some(self.engine.classify(squiggle.samples())?.result)
+        Some(self.classify_staged(squiggle.samples())?.result)
     }
 
     /// Classifies a read, stopping at the first stage whose threshold the
@@ -305,116 +313,21 @@ impl SquiggleFilter {
     /// An empty squiggle is accepted at stage 0 (no evidence to eject — the
     /// safe default, since false negatives lose target reads permanently).
     pub fn classify(&self, squiggle: &RawSquiggle) -> Classification {
-        self.engine
-            .classify(squiggle.samples())
+        self.classify_staged(squiggle.samples())
             .unwrap_or(EMPTY_READ)
-    }
-
-    /// Opens a streaming session (the concrete type behind
-    /// [`ReadClassifier::start_read`], exposed for callers that want to avoid
-    /// the boxed trait object).
-    pub fn session(&self) -> FilterSession<'_> {
-        self.engine.session()
-    }
-}
-
-impl ReadClassifier for SquiggleFilter {
-    fn start_read(&self) -> Box<dyn ClassifierSession + '_> {
-        Box::new(self.session())
-    }
-
-    fn max_decision_samples(&self) -> usize {
-        self.engine.budget()
-    }
-}
-
-/// The outcome for an empty read: accepted at stage 0 on no samples (no
-/// evidence to eject — the safe default, since false negatives lose target
-/// reads permanently).
-pub(crate) const EMPTY_READ: Classification = Classification {
-    verdict: FilterVerdict::Accept,
-    deciding_stage: 0,
-    samples_used: 0,
-    result: SdtwResult {
-        cost: 0.0,
-        end_position: 0,
-        query_samples: 0,
-    },
-};
-
-/// `true` when an alignment cost fails a stage's threshold. Every decision
-/// of the engine — stage boundary, early reject, end of read — uses this one
-/// form. Its complement, accept iff `cost <= threshold`, is the same test
-/// because costs are never NaN: the normalizer floors its scale at
-/// `f32::EPSILON`, so `u16` input normalizes to finite samples and every DP
-/// cost stays ordered against any threshold.
-#[inline]
-fn exceeds(cost: f64, threshold: f64) -> bool {
-    cost > threshold
-}
-
-/// The staged sDTW engine: the kernel, the normalizer, the stages (a
-/// cumulative `prefix_samples` and a `threshold` each) and the streaming
-/// early-reject interval. [`SquiggleFilter`] builds it with one stage, or
-/// two with a [`FilterConfig::early_stage`].
-#[derive(Debug, Clone)]
-pub(crate) struct StagedEngine {
-    kernel: Box<dyn SdtwKernel>,
-    normalizer: Normalizer,
-    /// Non-empty, in strictly increasing `prefix_samples` order.
-    stages: Vec<Stage>,
-    /// Samples between early-reject checks (`0` disables them).
-    early_exit_interval: usize,
-}
-
-impl StagedEngine {
-    /// Builds the `precision` kernel over both strands of `reference`.
-    pub(crate) fn new(
-        reference: &ReferenceSquiggle,
-        precision: FilterPrecision,
-        sdtw: SdtwConfig,
-        normalizer: NormalizerConfig,
-        stages: Vec<Stage>,
-        early_exit_interval: usize,
-    ) -> Self {
-        let kernel: Box<dyn SdtwKernel> = match precision {
-            FilterPrecision::Int8 => {
-                Box::new(IntSdtw::new(sdtw, reference.concatenated_quantized()))
-            }
-            FilterPrecision::Float32 => Box::new(FloatSdtw::new(sdtw, reference.concatenated())),
-        };
-        StagedEngine {
-            kernel,
-            normalizer: Normalizer::new(normalizer),
-            stages,
-            early_exit_interval,
-        }
-    }
-
-    /// Reference samples (DP columns) scanned per query sample.
-    pub(crate) fn reference_samples(&self) -> usize {
-        self.kernel.reference_len()
-    }
-
-    /// Raw samples the last stage examines: the decision budget.
-    pub(crate) fn budget(&self) -> usize {
-        self.stages.last().map_or(0, |stage| stage.prefix_samples)
     }
 
     /// One-shot staged classification of a raw read, or `None` for an empty
     /// read. `normalize_raw` runs the rolling re-estimation schedule the
     /// sessions' feed runs, which keeps the two paths bit-identical.
-    pub(crate) fn classify(&self, samples: &[u16]) -> Option<Classification> {
-        let prefix = &samples[..samples.len().min(self.budget())];
-        self.classify_normalized(&self.normalizer.normalize_raw(prefix))
-    }
-
-    /// The one-shot staged loop: extends one DP stream to each stage's
-    /// prefix and tests that stage's threshold on `best()`, stopping at the
-    /// first reject, at the last stage, or where the query ends. The DP
-    /// state carries across stages, so nothing is recomputed. Returns `None`
-    /// when nothing was aligned.
-    pub(crate) fn classify_normalized(&self, query: &[f32]) -> Option<Classification> {
+    ///
+    /// The staged loop extends one DP stream to each stage's prefix and
+    /// tests that stage's threshold on `best()`, stopping at the first
+    /// reject, at the last stage, or where the query ends. The DP state
+    /// carries across stages, so nothing is recomputed.
+    fn classify_staged(&self, samples: &[u16]) -> Option<Classification> {
+        let prefix = &samples[..samples.len().min(self.config.prefix_samples)];
+        let query = Normalizer::new(self.config.normalizer).normalize_raw(prefix);
         let mut stream = self.kernel.start();
         let last = self.stages.len() - 1;
         for (index, stage) in self.stages.iter().enumerate() {
@@ -439,12 +352,14 @@ impl StagedEngine {
         None
     }
 
-    /// Opens a streaming session over this engine.
-    pub(crate) fn session(&self) -> FilterSession<'_> {
-        let interval = self.early_exit_interval;
+    /// Opens a streaming session (the concrete type behind
+    /// [`ReadClassifier::start_read`], exposed for callers that want to avoid
+    /// the boxed trait object).
+    pub fn session(&self) -> FilterSession<'_> {
+        let interval = self.config.early_exit_interval;
         FilterSession {
-            engine: self,
-            feed: CalibratingFeed::new(*self.normalizer.config(), self.budget()),
+            filter: self,
+            feed: CalibratingFeed::new(self.config.normalizer, self.config.prefix_samples),
             run: StageRun {
                 stream: self.kernel.start(),
                 stage: 0,
@@ -457,6 +372,41 @@ impl StagedEngine {
             decided_early: false,
         }
     }
+}
+
+impl ReadClassifier for SquiggleFilter {
+    fn start_read(&self) -> Box<dyn ClassifierSession + '_> {
+        Box::new(self.session())
+    }
+
+    fn max_decision_samples(&self) -> usize {
+        self.config.prefix_samples
+    }
+}
+
+/// The outcome for an empty read: accepted at stage 0 on no samples (no
+/// evidence to eject — the safe default, since false negatives lose target
+/// reads permanently).
+pub(crate) const EMPTY_READ: Classification = Classification {
+    verdict: FilterVerdict::Accept,
+    deciding_stage: 0,
+    samples_used: 0,
+    result: SdtwResult {
+        cost: 0.0,
+        end_position: 0,
+        query_samples: 0,
+    },
+};
+
+/// `true` when an alignment cost fails a stage's threshold. Every decision
+/// of the filter — stage boundary, early reject, end of read — uses this one
+/// form. Its complement, accept iff `cost <= threshold`, is the same test
+/// because costs are never NaN: the normalizer floors its scale at
+/// `f32::EPSILON`, so `u16` input normalizes to finite samples and every DP
+/// cost stays ordered against any threshold.
+#[inline]
+fn exceeds(cost: f64, threshold: f64) -> bool {
+    cost > threshold
 }
 
 /// A streaming classification of one read — the session behind every
@@ -481,7 +431,7 @@ impl StagedEngine {
 /// window would lose (see `docs/streaming.md`).
 #[derive(Debug)]
 pub struct FilterSession<'a> {
-    engine: &'a StagedEngine,
+    filter: &'a SquiggleFilter,
     feed: CalibratingFeed,
     run: StageRun<'a>,
     /// Raw-sample count at which the decision became available: the deciding
@@ -510,31 +460,31 @@ impl StageRun<'_> {
     /// Per-sample DP advance and decision checks (the [`CalibratingFeed`]
     /// sink): pushes one normalized sample and returns `true` once a
     /// decision is final.
-    fn advance(&mut self, engine: &StagedEngine, z: f32) -> bool {
+    fn advance(&mut self, filter: &SquiggleFilter, z: f32) -> bool {
         self.stream.push_normalized(z);
         let n = self.stream.samples_processed();
-        let mut stage = engine.stages[self.stage];
+        let mut stage = filter.stages[self.stage];
         if n == stage.prefix_samples {
             let best = self.best();
             if exceeds(best.cost, stage.threshold) {
                 return self.latch(Decision::Reject, best);
             }
-            if self.stage + 1 == engine.stages.len() {
+            if self.stage + 1 == filter.stages.len() {
                 return self.latch(Decision::Accept, best);
             }
             self.stage += 1;
             metrics().stage_escalations.incr();
-            stage = engine.stages[self.stage];
+            stage = filter.stages[self.stage];
         }
         if n == self.next_check {
-            self.next_check += engine.early_exit_interval;
+            self.next_check += filter.config.early_exit_interval;
             let best = self.best();
             // Sound bound: the row minimum cannot drop below this by the
             // time the stage's prefix has been consumed, so a reject here is
             // exactly the verdict the one-shot path will reach.
-            let slack = engine
-                .kernel
-                .config()
+            let slack = filter
+                .config
+                .sdtw
                 .early_reject_slack(stage.prefix_samples - n);
             if exceeds(best.cost - slack, stage.threshold) {
                 return self.latch(Decision::Reject, best);
@@ -565,10 +515,10 @@ impl FilterSession<'_> {
     /// buffers — through [`StageRun::advance`] in one telemetry span, then
     /// records when a decision reached here became available.
     fn drive(&mut self, chunk: Option<&[u16]>) {
-        let engine = self.engine;
+        let filter = self.filter;
         let Self { feed, run, .. } = self;
         let span = ChunkSpan::begin(&*run.stream, feed.estimate_ns(), &run.stats);
-        let mut sink = |z: f32| run.advance(engine, z);
+        let mut sink = |z: f32| run.advance(filter, z);
         match chunk {
             Some(chunk) => feed.push(chunk, &mut sink),
             None => feed.flush(&mut sink),
@@ -588,8 +538,9 @@ impl FilterSession<'_> {
             .feed
             .decision_point(self.run.stream.samples_processed());
         self.decided_at = Some(at);
-        self.decided_early =
-            early_possible && self.run.decision == Decision::Reject && at < self.engine.budget();
+        self.decided_early = early_possible
+            && self.run.decision == Decision::Reject
+            && at < self.filter.config.prefix_samples;
         if self.decided_early {
             metrics().early_rejects.incr();
         }
@@ -600,7 +551,7 @@ impl FilterSession<'_> {
     /// short prefix.
     fn decide_at_end_of_read(&mut self) {
         let sw = Stopwatch::start();
-        let stages = &self.engine.stages;
+        let stages = &self.filter.stages;
         let run = &mut self.run;
         let (decision, result) = match run.stream.best() {
             Some(best) => {

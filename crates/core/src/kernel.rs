@@ -4,7 +4,7 @@
 //! domains through the [`SdtwLane`] trait (sample type, cost type, and the
 //! three arithmetic ops the recurrence needs). On top of it sit two
 //! object-safe traits — [`SdtwKernel`] for engines and [`SdtwStream`] for
-//! their resumable row states — which is what the staged filter engine in
+//! their resumable row states — which is what the staged filter in
 //! `filter.rs` consumes: one `Box<dyn SdtwKernel>` instead of parallel
 //! Int/Float match arms, with queries crossing the trait boundary as *normalized* `f32`
 //! samples (the integer lane quantizes internally with the exact per-sample
@@ -35,7 +35,7 @@
 //! systolic array does with one PE per reference position, so a stream's
 //! DP work is exactly `samples × reference length` cells.
 
-use crate::config::{DistanceMetric, KernelBackend, SdtwConfig};
+use crate::config::{bonus_for_dwell, DistanceMetric, KernelBackend, SdtwConfig};
 use crate::result::SdtwResult;
 use std::fmt;
 
@@ -220,12 +220,8 @@ impl SdtwLane for FloatLane {
 /// `f32`. Boxed kernels are [`Clone`] (via [`SdtwKernel::clone_kernel`]) so
 /// filters stay cheaply copyable.
 pub trait SdtwKernel: fmt::Debug + Send + Sync {
-    /// The kernel configuration.
-    fn config(&self) -> &SdtwConfig;
     /// Number of reference samples (DP columns).
     fn reference_len(&self) -> usize;
-    /// The row-update backend this kernel runs (see [`Sdtw::backend`]).
-    fn backend(&self) -> KernelBackend;
     /// Starts a streaming alignment.
     fn start(&self) -> Box<dyn SdtwStream + '_>;
     /// Clones the kernel behind the trait object.
@@ -359,16 +355,8 @@ impl<L: SdtwLane> Sdtw<L> {
 }
 
 impl<L: SdtwLane> SdtwKernel for Sdtw<L> {
-    fn config(&self) -> &SdtwConfig {
-        self.config()
-    }
-
     fn reference_len(&self) -> usize {
         self.reference.len()
-    }
-
-    fn backend(&self) -> KernelBackend {
-        self.backend()
     }
 
     fn start(&self) -> Box<dyn SdtwStream + '_> {
@@ -557,7 +545,6 @@ fn scalar_row<L: SdtwLane>(
     out_dwell: &mut [u32],
 ) {
     // sf-lint: hot-path
-    let bonus = config.match_bonus;
     for j in lo..hi {
         let d = L::distance(config.distance, q, reference[j]);
         // Vertical: same reference base consumes another query sample.
@@ -566,8 +553,8 @@ fn scalar_row<L: SdtwLane>(
         if j > 0 {
             // Diagonal: advance to a new reference base.
             let mut diag = row[j - 1];
-            if let Some(b) = bonus {
-                diag = L::subtract_bonus(diag, b.bonus_for_dwell(dwell[j - 1]));
+            if config.match_bonus {
+                diag = L::subtract_bonus(diag, bonus_for_dwell(dwell[j - 1]));
             }
             if diag < best {
                 best = diag;
@@ -634,7 +621,7 @@ unsafe fn vector_row<L: SdtwLane>(
 /// hands column 0 and the tail to [`scalar_row`].
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use crate::config::{DistanceMetric, MatchBonus};
+    use crate::config::{DistanceMetric, MATCH_BONUS_DWELL_CAP, MATCH_BONUS_PER_SAMPLE};
     use std::arch::x86_64::*;
 
     /// Lane-wise `i32::saturating_add`.
@@ -667,12 +654,15 @@ mod avx2 {
         _mm256_blendv_epi8(diff, saturated, overflow)
     }
 
-    /// The bonus-adjusted diagonal term for 8 integer lanes:
-    /// `saturating_sub(diag, bonus_per_sample * min(dwell, dwell_cap))`.
+    /// [`crate::config::bonus_for_dwell`] for 8 lanes:
+    /// `MATCH_BONUS_PER_SAMPLE * min(dwell, MATCH_BONUS_DWELL_CAP)`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn bonus_diag_epi32(diag: __m256i, dw: __m256i, bps: __m256i, cap: __m256i) -> __m256i {
-        sat_sub_epi32(diag, _mm256_mullo_epi32(bps, _mm256_min_epu32(dw, cap)))
+    unsafe fn bonus_epi32(dw: __m256i) -> __m256i {
+        _mm256_mullo_epi32(
+            _mm256_set1_epi32(MATCH_BONUS_PER_SAMPLE as i32),
+            _mm256_min_epu32(dw, _mm256_set1_epi32(MATCH_BONUS_DWELL_CAP as i32)),
+        )
     }
 
     /// AVX2 integer row body for columns `lo..hi` (`lo >= 1`, a whole
@@ -682,7 +672,7 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn int_row(
         metric: DistanceMetric,
-        bonus: Option<MatchBonus>,
+        bonus: bool,
         reference: &[i8],
         q: i8,
         lo: usize,
@@ -697,13 +687,6 @@ mod avx2 {
         let qv = _mm256_set1_epi32(q as i32);
         let ones = _mm256_set1_epi32(1);
         let squared = matches!(metric, DistanceMetric::Squared);
-        let (bps, cap) = match bonus {
-            Some(b) => (
-                _mm256_set1_epi32(b.bonus_per_sample as i32),
-                _mm256_set1_epi32(b.dwell_cap as i32),
-            ),
-            None => (_mm256_setzero_si256(), _mm256_setzero_si256()),
-        };
         let mut j = lo;
         while j + 8 <= hi {
             // 8 reference samples, widened i8 -> i32.
@@ -717,9 +700,9 @@ mod avx2 {
             };
             let vert = _mm256_loadu_si256(row.as_ptr().add(j) as *const __m256i);
             let mut diag = _mm256_loadu_si256(row.as_ptr().add(j - 1) as *const __m256i);
-            if bonus.is_some() {
+            if bonus {
                 let dw = _mm256_loadu_si256(dwell.as_ptr().add(j - 1) as *const __m256i);
-                diag = bonus_diag_epi32(diag, dw, bps, cap);
+                diag = sat_sub_epi32(diag, bonus_epi32(dw));
             }
             // take = diag < vert (strict: ties keep the vertical move).
             let take = _mm256_cmpgt_epi32(vert, diag);
@@ -745,7 +728,7 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn float_row(
         metric: DistanceMetric,
-        bonus: Option<MatchBonus>,
+        bonus: bool,
         reference: &[f32],
         q: f32,
         lo: usize,
@@ -761,13 +744,6 @@ mod avx2 {
         let ones = _mm256_set1_epi32(1);
         let sign_mask = _mm256_set1_ps(-0.0);
         let squared = matches!(metric, DistanceMetric::Squared);
-        let (bps, cap) = match bonus {
-            Some(b) => (
-                _mm256_set1_epi32(b.bonus_per_sample as i32),
-                _mm256_set1_epi32(b.dwell_cap as i32),
-            ),
-            None => (_mm256_setzero_si256(), _mm256_setzero_si256()),
-        };
         let mut j = lo;
         while j + 8 <= hi {
             let refs = _mm256_loadu_ps(reference.as_ptr().add(j));
@@ -779,10 +755,9 @@ mod avx2 {
             };
             let vert = _mm256_loadu_ps(row.as_ptr().add(j));
             let mut diag = _mm256_loadu_ps(row.as_ptr().add(j - 1));
-            if bonus.is_some() {
+            if bonus {
                 let dw = _mm256_loadu_si256(dwell.as_ptr().add(j - 1) as *const __m256i);
-                let b = _mm256_cvtepi32_ps(_mm256_mullo_epi32(bps, _mm256_min_epu32(dw, cap)));
-                diag = _mm256_sub_ps(diag, b);
+                diag = _mm256_sub_ps(diag, _mm256_cvtepi32_ps(bonus_epi32(dw)));
             }
             // take = diag < vert, ordered-quiet: a NaN lane keeps the
             // vertical move, matching scalar `PartialOrd`.
@@ -804,7 +779,6 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MatchBonus;
 
     fn reference_i8(n: usize, seed: u32) -> Vec<i8> {
         let mut x = seed;
@@ -828,10 +802,6 @@ mod tests {
             SdtwConfig::hardware(),
             SdtwConfig::hardware_without_bonus(),
             SdtwConfig::vanilla().with_reference_deletions(false),
-            SdtwConfig::hardware().with_match_bonus(Some(MatchBonus {
-                bonus_per_sample: 3,
-                dwell_cap: 4,
-            })),
         ]
     }
 
@@ -931,7 +901,6 @@ mod tests {
         let boxed: Box<dyn SdtwKernel> = Box::new(typed.clone());
         let cloned = boxed.clone();
         assert_eq!(cloned.reference_len(), reference.len());
-        assert_eq!(cloned.backend(), KernelBackend::Vector);
 
         // extend_normalized == stream of push_normalized == typed quantize path.
         let want = typed

@@ -20,8 +20,8 @@
 //!   sessions making chunk-wise Accept/Reject/Wait [`Decision`]s, the
 //!   interface every classifier and every consumer in the workspace speaks.
 //! * [`filter`] — the [`SquiggleFilter`] (normalize a read prefix, align it,
-//!   compare against a threshold; paper §4.5) and the staged engine behind
-//!   it: an optional early stage with carried-over DP state (paper §4.6),
+//!   compare against a threshold; paper §4.5), a staged filter: an optional
+//!   early stage with carried-over DP state (paper §4.6),
 //!   one [`FilterSession`] for streaming, one staged loop for `classify`.
 //! * [`multistage`] — the [`Stage`] of multi-stage filtering and its tests.
 //! * [`threshold`] — threshold calibration from labelled costs.
@@ -76,7 +76,7 @@ pub mod threshold;
 pub use classifier::{
     ClassifierSession, Decision, ReadClassifier, SessionState, StreamClassification, TargetId,
 };
-pub use config::{DistanceMetric, KernelBackend, MatchBonus, SdtwConfig};
+pub use config::{DistanceMetric, KernelBackend, SdtwConfig};
 pub use filter::{
     Classification, FilterConfig, FilterPrecision, FilterSession, FilterVerdict, SquiggleFilter,
 };

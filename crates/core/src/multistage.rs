@@ -12,7 +12,7 @@
 //! This module holds the [`Stage`] type. A filter gains its early stage
 //! through [`FilterConfig::early_stage`](crate::FilterConfig::early_stage)
 //! ([`FilterConfig::two_stage`](crate::FilterConfig::two_stage) is the
-//! paper's example); the staged engine and its
+//! paper's example); the staged filter and its
 //! [`FilterSession`](crate::FilterSession) live in [`crate::filter`].
 
 /// One filtering stage: examine `prefix_samples` of the read and reject it if
@@ -210,6 +210,22 @@ mod tests {
                 threshold: 1.0,
             }),
             ..FilterConfig::two_stage(1.0, 1.0).with_prefix_samples(1_000)
+        };
+        let _ = SquiggleFilter::new(&reference, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_prefix_early_stage_panics() {
+        // A zero-sample stage decides on nothing: one-shot would accept on
+        // no samples, while a session never reaches its prefix.
+        let (_, _, reference) = setup();
+        let config = FilterConfig {
+            early_stage: Some(Stage {
+                prefix_samples: 0,
+                threshold: 1.0,
+            }),
+            ..FilterConfig::two_stage(1.0, 1.0)
         };
         let _ = SquiggleFilter::new(&reference, config);
     }

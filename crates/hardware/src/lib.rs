@@ -41,4 +41,4 @@ pub use perf::{
     AcceleratorModel, AcceleratorPerf, MINION_MAX_BASES_PER_S, MINION_MAX_SAMPLES_PER_S,
 };
 pub use systolic::{SystolicArray, SystolicRun};
-pub use tile::{Tile, TileClassification, TileConfig, PES_PER_TILE};
+pub use tile::{Tile, TileClassification, TileConfig, CLOCK_HZ, PES_PER_TILE};

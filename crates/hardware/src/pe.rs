@@ -8,7 +8,7 @@
 //! reference sample, and register the result for the next PE. The registered
 //! state is exactly the RTL's: the cost, the dwell count and a valid bit.
 
-use sf_sdtw::config::SdtwConfig;
+use sf_sdtw::config::{bonus_for_dwell, SdtwConfig};
 
 /// Area of one synthesized PE in mm² (paper: 1203 µm² at 28 nm).
 pub const PE_AREA_MM2: f64 = 0.001203;
@@ -109,8 +109,8 @@ impl ProcessingElement {
                     // cycles ago, with the match bonus.
                     if self.prev2.valid {
                         let mut diag = self.prev2.cost;
-                        if let Some(bonus) = self.config.match_bonus {
-                            diag -= bonus.bonus_for_dwell(self.prev2.dwell) as i32;
+                        if self.config.match_bonus {
+                            diag -= bonus_for_dwell(self.prev2.dwell) as i32;
                         }
                         if diag < cost {
                             cost = diag;

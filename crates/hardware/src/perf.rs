@@ -6,7 +6,7 @@
 //! decision latency compared to GPU basecalling?
 
 use crate::asic::{AsicModel, ElementBudget};
-use crate::tile::{Tile, TileConfig};
+use crate::tile::{classification_latency_s, throughput_samples_per_s};
 
 /// Maximum MinION output in signal samples per second (paper: 2.05 M
 /// samples/s across all 512 channels).
@@ -42,30 +42,14 @@ impl AcceleratorPerf {
     }
 }
 
-/// Performance model for the full SquiggleFilter accelerator.
+/// Performance model for the full SquiggleFilter accelerator: the tile
+/// timing of [`crate::tile`] plus the synthesis numbers for area/power.
 #[derive(Debug, Clone, Default)]
 pub struct AcceleratorModel {
-    tile_config: TileConfig,
     asic: AsicModel,
 }
 
 impl AcceleratorModel {
-    /// Creates a model with explicit tile configuration and synthesis
-    /// numbers.
-    pub fn new(tile_config: TileConfig, asic: AsicModel) -> Self {
-        AcceleratorModel { tile_config, asic }
-    }
-
-    /// The tile configuration used for timing.
-    pub fn tile_config(&self) -> &TileConfig {
-        &self.tile_config
-    }
-
-    /// The synthesis model used for area/power.
-    pub fn asic_model(&self) -> &AsicModel {
-        &self.asic
-    }
-
     /// Evaluates latency, throughput, area and power for a reference of
     /// `reference_samples` samples classified on `tiles` tiles with
     /// `prefix_samples`-sample prefixes.
@@ -75,9 +59,8 @@ impl AcceleratorModel {
         prefix_samples: usize,
         tiles: usize,
     ) -> AcceleratorPerf {
-        let cycles = (prefix_samples + reference_samples) as f64;
-        let latency_s = cycles / self.tile_config.clock_hz;
-        let tile_throughput = prefix_samples as f64 * self.tile_config.clock_hz / cycles;
+        let latency_s = classification_latency_s(prefix_samples, reference_samples);
+        let tile_throughput = throughput_samples_per_s(prefix_samples, reference_samples);
         AcceleratorPerf {
             tiles,
             reference_samples,
@@ -110,12 +93,6 @@ impl AcceleratorModel {
     ) -> f64 {
         self.evaluate(reference_samples, prefix_samples, tiles)
             .minion_headroom()
-    }
-
-    /// Builds a [`Tile`] consistent with this model for functional
-    /// simulation.
-    pub fn build_tile(&self, reference: Vec<i8>) -> Tile {
-        Tile::new(self.tile_config, reference)
     }
 }
 

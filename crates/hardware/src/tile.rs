@@ -8,21 +8,40 @@ use sf_sdtw::FilterVerdict;
 
 /// Number of PEs per tile in the synthesized design.
 pub const PES_PER_TILE: usize = 2_000;
+/// Clock frequency of the synthesized design in Hz (paper §5: 2.5 GHz).
+pub const CLOCK_HZ: f64 = 2.5e9;
 /// Size of each tile's reference buffer in bytes (one byte per reference
 /// sample).
 pub const REFERENCE_BUFFER_BYTES: usize = 100 * 1024;
 /// Size of each ping-pong query buffer in samples (10-bit samples).
 pub const QUERY_BUFFER_SAMPLES: usize = 2_000;
 
+/// Cycles a tile needs to classify a `query_samples`-sample read prefix
+/// against a `reference_samples`-sample reference: the prefix must be
+/// streamed through the array followed by the whole reference (paper: "read
+/// prefix length plus the reference genome length").
+pub fn classification_cycles(query_samples: usize, reference_samples: usize) -> u64 {
+    (query_samples + reference_samples) as u64
+}
+
+/// Classification latency in seconds at [`CLOCK_HZ`] (see
+/// [`classification_cycles`]).
+pub fn classification_latency_s(query_samples: usize, reference_samples: usize) -> f64 {
+    classification_cycles(query_samples, reference_samples) as f64 / CLOCK_HZ
+}
+
+/// Sustained single-tile throughput in query samples per second at
+/// [`CLOCK_HZ`]: every [`classification_cycles`] the tile retires one
+/// `query_samples` prefix.
+pub fn throughput_samples_per_s(query_samples: usize, reference_samples: usize) -> f64 {
+    query_samples as f64 * CLOCK_HZ / classification_cycles(query_samples, reference_samples) as f64
+}
+
 /// Configuration of one tile.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TileConfig {
     /// sDTW kernel configuration programmed into the PEs.
     pub sdtw: SdtwConfig,
-    /// Number of PEs (2000 in the paper's design).
-    pub num_pes: usize,
-    /// Clock frequency in Hz (2.5 GHz in the paper).
-    pub clock_hz: f64,
     /// Classification threshold compared against the final PE's cost.
     pub threshold: i32,
 }
@@ -31,8 +50,6 @@ impl Default for TileConfig {
     fn default() -> Self {
         TileConfig {
             sdtw: SdtwConfig::hardware(),
-            num_pes: PES_PER_TILE,
-            clock_hz: 2.5e9,
             threshold: i32::MAX,
         }
     }
@@ -45,7 +62,7 @@ pub struct TileClassification {
     pub verdict: FilterVerdict,
     /// The systolic-array run (costs, cycles).
     pub run: SystolicRun,
-    /// End-to-end latency in seconds at the configured clock.
+    /// End-to-end latency in seconds at [`CLOCK_HZ`].
     pub latency_s: f64,
 }
 
@@ -86,7 +103,7 @@ impl Tile {
             REFERENCE_BUFFER_BYTES
         );
         Tile {
-            array: SystolicArray::new(config.sdtw, config.num_pes),
+            array: SystolicArray::new(config.sdtw, PES_PER_TILE),
             normalizer: HardwareNormalizer::new(QUERY_BUFFER_SAMPLES),
             config,
             reference,
@@ -103,25 +120,16 @@ impl Tile {
         self.reference.len()
     }
 
-    /// Cycles needed to classify a read prefix of `query_samples` samples:
-    /// the prefix must be streamed through the array followed by the whole
-    /// reference (paper: "read prefix length plus the reference genome
-    /// length").
-    pub fn classification_cycles(&self, query_samples: usize) -> u64 {
-        (query_samples + self.reference.len()) as u64
-    }
-
-    /// Classification latency in seconds for a `query_samples`-sample prefix.
+    /// Classification latency in seconds for a `query_samples`-sample prefix
+    /// against this tile's reference.
     pub fn classification_latency_s(&self, query_samples: usize) -> f64 {
-        self.classification_cycles(query_samples) as f64 / self.config.clock_hz
+        classification_latency_s(query_samples, self.reference.len())
     }
 
-    /// Sustained classification throughput in query samples per second:
-    /// every `classification_cycles` the tile retires one `query_samples`
-    /// prefix.
+    /// Sustained classification throughput in query samples per second for
+    /// `query_samples`-sample prefixes against this tile's reference.
     pub fn throughput_samples_per_s(&self, query_samples: usize) -> f64 {
-        query_samples as f64 * self.config.clock_hz
-            / self.classification_cycles(query_samples) as f64
+        throughput_samples_per_s(query_samples, self.reference.len())
     }
 
     /// Classifies a raw (10-bit ADC) read prefix: normalize on the tile's
@@ -151,7 +159,7 @@ impl Tile {
     /// filtering and spills the final PE's cost every cycle (bytes/second).
     /// Each spilled entry is a 4-byte cost.
     pub fn multistage_dram_bandwidth_bytes_per_s(&self) -> f64 {
-        4.0 * self.config.clock_hz
+        4.0 * CLOCK_HZ
     }
 }
 

@@ -28,4 +28,5 @@ pub mod telemetry;
 
 pub use scheduler::{
     Arrival, MicroBatchConfig, SchedulerReport, SessionId, SessionOutcome, SessionScheduler,
+    MAX_CHUNK_SAMPLES,
 };

@@ -99,6 +99,13 @@ pub struct SessionOutcome {
     pub classification: StreamClassification,
 }
 
+/// Cap on coalesced samples fed to one session per drain pass; a session with
+/// more buffered signal keeps its surplus and stays dirty for the next pass,
+/// so one signal-heavy session cannot monopolize a batch. Four 400-sample
+/// Read Until chunks: a session that fell one full recalibration interval
+/// behind catches up in one pass.
+pub const MAX_CHUNK_SAMPLES: usize = 1_600;
+
 /// Micro-batch coalescing knobs for a [`SessionScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroBatchConfig {
@@ -107,10 +114,6 @@ pub struct MicroBatchConfig {
     /// fill: it drains as soon as the ingest queue runs dry, so this only
     /// bounds a pass under backlog, where batches fill to the cap.
     pub max_sessions: usize,
-    /// Cap on coalesced samples fed to one session per drain pass; a session
-    /// with more buffered signal keeps its surplus and stays dirty for the
-    /// next pass, so one signal-heavy session cannot monopolize a batch.
-    pub max_chunk_samples: usize,
     /// Worker threads (sessions are sharded by id, each worker owns its
     /// shard). `0` means "use the machine's available parallelism".
     pub workers: usize,
@@ -121,13 +124,6 @@ impl MicroBatchConfig {
     #[must_use]
     pub fn with_max_sessions(mut self, max_sessions: usize) -> Self {
         self.max_sessions = max_sessions.max(1);
-        self
-    }
-
-    /// Sets the per-session coalesced-sample cap (clamped to at least 1).
-    #[must_use]
-    pub fn with_max_chunk_samples(mut self, max_chunk_samples: usize) -> Self {
-        self.max_chunk_samples = max_chunk_samples.max(1);
         self
     }
 
@@ -147,9 +143,6 @@ impl Default for MicroBatchConfig {
             // dispatch over that many reads, yet returns to the ingest queue
             // after about one poll's worth of work.
             max_sessions: 32,
-            // Four 400-sample Read Until chunks: a session that fell one
-            // full recalibration interval behind catches up in one pass.
-            max_chunk_samples: 1_600,
             workers: 1,
         }
     }
@@ -286,14 +279,13 @@ impl<'c> Worker<'c> {
     }
 
     /// One micro-batch: advance every dirty session over its coalesced
-    /// buffer (capped at `max_chunk_samples`), finalize and evict sessions
+    /// buffer (capped at [`MAX_CHUNK_SAMPLES`]), finalize and evict sessions
     /// that committed or whose read ended, keep signal-heavy sessions dirty.
-    fn drain(&mut self, config: &MicroBatchConfig, completions: &Sender<SessionOutcome>) {
+    fn drain(&mut self, completions: &Sender<SessionOutcome>) {
         let batch = std::mem::take(&mut self.dirty);
         if batch.is_empty() {
             return;
         }
-        let cap = config.max_chunk_samples.max(1);
         let mut advanced = 0u64;
         let mut evicted = 0u64;
         // sf-lint: hot-path
@@ -302,7 +294,7 @@ impl<'c> Worker<'c> {
                 let Some(pending) = self.sessions.get_mut(&id) else {
                     continue;
                 };
-                let take = pending.buf.len().min(cap);
+                let take = pending.buf.len().min(MAX_CHUNK_SAMPLES);
                 let state = if take > 0 {
                     let Pending { session, buf, .. } = pending;
                     session.advance(&buf[..take])
@@ -350,9 +342,9 @@ impl<'c> Worker<'c> {
     /// Ingest disconnected: drain the remaining coalesced signal, then
     /// finalize every still-open session on what it saw — the same contract
     /// as a read (or the whole run) ending naturally.
-    fn finish(&mut self, config: &MicroBatchConfig, completions: &Sender<SessionOutcome>) {
+    fn finish(&mut self, completions: &Sender<SessionOutcome>) {
         while !self.dirty.is_empty() {
-            self.drain(config, completions);
+            self.drain(completions);
         }
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         let mut evicted = 0u64;
@@ -405,9 +397,9 @@ impl<'c> Worker<'c> {
                     }
                 }
             }
-            self.drain(config, completions);
+            self.drain(completions);
         }
-        self.finish(config, completions);
+        self.finish(completions);
         self.stats
     }
 }
@@ -742,19 +734,23 @@ mod tests {
 
     #[test]
     fn coalescing_cap_keeps_surplus_for_the_next_batch() {
-        let probe = ParityProbe { budget: 1_000 };
+        let len = 3 * MAX_CHUNK_SAMPLES + 100;
+        let probe = ParityProbe { budget: 2 * len };
         // One read far larger than the cap, delivered as one giant chunk.
-        let mut arrivals = vec![Arrival::chunk(SessionId(0), vec![3u16; 900])];
+        let mut arrivals = vec![Arrival::chunk(SessionId(0), vec![3u16; len])];
         arrivals.push(Arrival::end(SessionId(0)));
-        let config = MicroBatchConfig::default().with_max_chunk_samples(64);
-        let (report, outcomes) = run_scheduler(config, &probe, arrivals);
-        // 900 samples at 64 per pass: the session stayed dirty across
-        // ceil(900/64) = 15 passes, then one more to observe the drained
-        // buffer with the End marker.
-        assert!(report.micro_batches >= 15, "got {}", report.micro_batches);
+        let (report, outcomes) = run_scheduler(MicroBatchConfig::default(), &probe, arrivals);
+        // At most MAX_CHUNK_SAMPLES per pass: the session stayed dirty across
+        // ceil(len / MAX_CHUNK_SAMPLES) = 4 passes.
+        let passes = len.div_ceil(MAX_CHUNK_SAMPLES) as u64;
+        assert!(
+            report.micro_batches >= passes,
+            "got {}",
+            report.micro_batches
+        );
         let got = outcomes.get(&0).expect("read resolved");
-        assert_eq!(got.samples_consumed, 900);
-        assert_eq!(got.score, 2_700.0);
+        assert_eq!(got.samples_consumed, len);
+        assert_eq!(got.score, 3.0 * len as f64);
     }
 
     #[test]
@@ -819,10 +815,8 @@ mod tests {
     fn builders_clamp_and_compose() {
         let config = MicroBatchConfig::default()
             .with_max_sessions(0)
-            .with_max_chunk_samples(0)
             .with_workers(2);
         assert_eq!(config.max_sessions, 1);
-        assert_eq!(config.max_chunk_samples, 1);
         assert_eq!(SessionScheduler::new(config).resolved_workers(), 2);
         assert!(SessionScheduler::new(config.with_workers(0)).resolved_workers() >= 1);
     }
@@ -862,8 +856,20 @@ mod tests {
 
     #[test]
     fn classify_batch_returns_outcomes_in_input_order() {
-        let probe = ParityProbe { budget: 100 };
-        let mut reads = test_reads(9);
+        // Every read is longer than the coalescing cap, so each one spans
+        // several drain passes; the budget falls inside some reads and
+        // beyond the end of others.
+        let probe = ParityProbe {
+            budget: 2 * MAX_CHUNK_SAMPLES + 500,
+        };
+        let mut reads: Vec<Vec<u16>> = (0..9)
+            .map(|i| {
+                let len = MAX_CHUNK_SAMPLES + 1 + (i * 701) % (3 * MAX_CHUNK_SAMPLES);
+                (0..len)
+                    .map(|j| ((i * 131 + j * 17) % 700) as u16)
+                    .collect()
+            })
+            .collect();
         reads.push(Vec::new());
         let want: Vec<StreamClassification> = reads
             .iter()
@@ -874,11 +880,8 @@ mod tests {
             })
             .collect();
         for workers in [1usize, 3] {
-            let scheduler = SessionScheduler::new(
-                MicroBatchConfig::default()
-                    .with_workers(workers)
-                    .with_max_chunk_samples(64),
-            );
+            let scheduler =
+                SessionScheduler::new(MicroBatchConfig::default().with_workers(workers));
             let got = scheduler.classify_batch(&probe, reads.iter().map(Vec::as_slice));
             assert_eq!(got, want, "workers {workers}");
             assert!(scheduler

@@ -112,13 +112,6 @@ impl SquiggleSimulator {
         }
     }
 
-    /// Overrides the ADC calibration.
-    #[must_use]
-    pub fn with_adc(mut self, adc: AdcModel) -> Self {
-        self.adc = adc;
-        self
-    }
-
     /// The pore model driving the synthesis.
     pub fn model(&self) -> &KmerModel {
         &self.model

@@ -68,9 +68,6 @@ pub struct NormalizerConfig {
     /// trailing `calibration_window` samples for every re-estimation (when
     /// [`NormalizerConfig::recalibration_interval`] is non-zero).
     pub calibration_window: usize,
-    /// Values whose absolute normalized magnitude exceeds this are clamped
-    /// (outlier filtering).
-    pub outlier_clip: f32,
     /// Interval, in samples, at which normalization parameters are
     /// re-estimated over the trailing [`NormalizerConfig::calibration_window`]
     /// samples once the initial window has filled. The hardware re-estimates
@@ -87,7 +84,6 @@ impl Default for NormalizerConfig {
     fn default() -> Self {
         NormalizerConfig {
             calibration_window: 2000,
-            outlier_clip: FIXED_POINT_RANGE,
             recalibration_interval: 2000,
         }
     }
@@ -127,14 +123,16 @@ pub struct NormalizationParams {
 }
 
 impl NormalizationParams {
-    /// Applies the shift → scale → clip transform to one sample. This is
-    /// *the* per-sample normalization formula: batch normalization
+    /// Applies the shift → scale → clip transform to one sample. Outliers
+    /// are clipped to `±`[`FIXED_POINT_RANGE`], the range [`quantize`] maps
+    /// onto the 8-bit domain. This is *the* per-sample normalization
+    /// formula: batch normalization
     /// ([`Normalizer::normalize_with`]) and the incremental streaming
     /// classifier sessions in `sf-sdtw` both go through it, which is what
     /// keeps chunked streaming bit-identical to the one-shot path.
     #[inline]
-    pub fn apply(self, sample: f32, clip: f32) -> f32 {
-        ((sample - self.shift) / self.scale).clamp(-clip, clip)
+    pub fn apply(self, sample: f32) -> f32 {
+        ((sample - self.shift) / self.scale).clamp(-FIXED_POINT_RANGE, FIXED_POINT_RANGE)
     }
 
     /// How far `newer` has moved from `self`, in units of `self`'s scale:
@@ -225,10 +223,9 @@ impl Normalizer {
     where
         I: IntoIterator<Item = f64>,
     {
-        let clip = self.config.outlier_clip;
         samples
             .into_iter()
-            .map(|x| params.apply(x as f32, clip))
+            .map(|x| params.apply(x as f32))
             .collect()
     }
 
@@ -426,7 +423,6 @@ impl<T: Into<f64> + Copy> CalibratingFeed<T> {
     /// Drains raw samples through the sink, applying the shared per-sample
     /// formula with whatever parameters are active at each sample.
     fn feed(&mut self, raw: &[T], sink: &mut dyn FnMut(f32) -> bool) {
-        let clip = self.config.outlier_clip;
         for &sample in raw {
             if self.emitted == self.next_recalibration {
                 self.recalibrate();
@@ -435,7 +431,7 @@ impl<T: Into<f64> + Copy> CalibratingFeed<T> {
                 .params
                 // sf-lint: allow(panic) -- the calibration gate above sets params before emitting
                 .expect("feed only runs after calibration")
-                .apply(sample.into() as f32, clip);
+                .apply(sample.into() as f32);
             if self.recalibration_reachable {
                 self.history.push_back(sample);
                 if self.history.len() > self.config.calibration_window {

@@ -42,7 +42,6 @@ fn normalizer_schedules() -> Vec<NormalizerConfig> {
         NormalizerConfig {
             calibration_window: 500,
             recalibration_interval: 500,
-            ..Default::default()
         },
     ]
 }
