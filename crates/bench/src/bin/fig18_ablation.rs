@@ -1,9 +1,18 @@
 //! Figure 18: maximal F-score for each sDTW algorithm modification
 //! (the design-choice ablation).
 
-use sf_bench::{print_header, score_dataset};
-use sf_sdtw::{calibrate_threshold, DistanceMetric, FilterConfig, FilterPrecision, SdtwConfig};
+use sf_bench::{print_header, score_dataset, score_dataset_float};
+use sf_sdtw::{calibrate_threshold, DistanceMetric, FilterConfig, SdtwConfig};
 use sf_sim::DatasetBuilder;
+
+/// The datapath an ablation row scores on.
+#[derive(Clone, Copy)]
+enum Datapath {
+    /// The software baseline: normalized `f32` samples through `FloatSdtw`.
+    Float32,
+    /// The accelerator: 8-bit fixed point through `SquiggleFilter`.
+    Int8,
+}
 
 fn main() {
     print_header("Figure 18", "Ablation: max F-score per sDTW modification");
@@ -13,35 +22,35 @@ fn main() {
         .background_length(300_000)
         .build();
 
-    let variants: Vec<(&str, FilterPrecision, SdtwConfig)> = vec![
+    let variants: Vec<(&str, Datapath, SdtwConfig)> = vec![
         (
             "vanilla sDTW (float, squared)",
-            FilterPrecision::Float32,
+            Datapath::Float32,
             SdtwConfig::vanilla(),
         ),
         (
             "absolute difference (float)",
-            FilterPrecision::Float32,
+            Datapath::Float32,
             SdtwConfig::vanilla().with_distance(DistanceMetric::Absolute),
         ),
         (
             "integer normalization (int8)",
-            FilterPrecision::Int8,
+            Datapath::Int8,
             SdtwConfig::vanilla(),
         ),
         (
             "no reference deletions (float)",
-            FilterPrecision::Float32,
+            Datapath::Float32,
             SdtwConfig::vanilla().with_reference_deletions(false),
         ),
         (
             "all three (int8, abs, no-del)",
-            FilterPrecision::Int8,
+            Datapath::Int8,
             SdtwConfig::hardware_without_bonus(),
         ),
         (
             "all three + match bonus",
-            FilterPrecision::Int8,
+            Datapath::Int8,
             SdtwConfig::hardware(),
         ),
     ];
@@ -50,15 +59,19 @@ fn main() {
         "{:<34} {:>10} {:>10} {:>10}",
         "configuration", "1000", "2000", "4000"
     );
-    for (name, precision, sdtw) in variants {
+    for (name, datapath, sdtw) in variants {
         let mut row = format!("{name:<34}");
         for prefix in [1_000usize, 2_000, 4_000] {
-            let config = FilterConfig {
-                sdtw,
-                precision,
-                ..FilterConfig::hardware(f64::MAX).with_prefix_samples(prefix)
+            let (target, background) = match datapath {
+                Datapath::Float32 => score_dataset_float(&dataset, sdtw, prefix, 0),
+                Datapath::Int8 => {
+                    let config = FilterConfig {
+                        sdtw,
+                        ..FilterConfig::hardware(f64::MAX).with_prefix_samples(prefix)
+                    };
+                    score_dataset(&dataset, config, 0)
+                }
             };
-            let (target, background) = score_dataset(&dataset, config, 0);
             let max_f1 = calibrate_threshold(&target, &background)
                 .best_f1()
                 .map_or(0.0, |p| p.f1);

@@ -7,9 +7,11 @@
 
 #![warn(missing_docs)]
 
-use sf_pore_model::KmerModel;
-use sf_sdtw::{FilterConfig, SquiggleFilter};
+use sf_pore_model::{KmerModel, ReferenceSquiggle};
+use sf_sdtw::{FilterConfig, FloatSdtw, SdtwConfig, SdtwResult, SquiggleFilter};
 use sf_sim::Dataset;
+use sf_squiggle::normalize::{Normalizer, NormalizerConfig};
+use sf_squiggle::RawSquiggle;
 
 /// Scores every read of a labelled dataset with a filter built from the
 /// dataset's own target genome, returning `(target_costs, background_costs)`
@@ -26,13 +28,43 @@ pub fn score_dataset(
     )
 }
 
+/// [`score_dataset`] in the software baseline's `f32` domain: each read's
+/// first `prefix_samples` samples are normalized with the default
+/// normalizer and aligned once with a [`FloatSdtw`] over both strands of
+/// the target reference (Figure 18's float rows).
+pub fn score_dataset_float(
+    dataset: &Dataset,
+    sdtw: SdtwConfig,
+    prefix_samples: usize,
+    model_seed: u64,
+) -> (Vec<f64>, Vec<f64>) {
+    let model = KmerModel::synthetic_r94(model_seed);
+    let reference = ReferenceSquiggle::from_genome(&model, &dataset.target_genome);
+    let kernel = FloatSdtw::new(sdtw, reference.concatenated());
+    let normalizer = Normalizer::new(NormalizerConfig::default());
+    split_by_label(dataset, |squiggle| {
+        let samples = squiggle.samples();
+        let prefix = &samples[..samples.len().min(prefix_samples)];
+        kernel.align(&normalizer.normalize_raw(prefix))
+    })
+}
+
 /// Scores every read of a labelled dataset with `filter`, returning
 /// `(target_costs, background_costs)` in read order.
 pub fn score_reads(filter: &SquiggleFilter, dataset: &Dataset) -> (Vec<f64>, Vec<f64>) {
+    split_by_label(dataset, |squiggle| filter.score(squiggle))
+}
+
+/// Scores every read with `score` and splits the costs by label, skipping
+/// reads `score` returns `None` for.
+fn split_by_label(
+    dataset: &Dataset,
+    score: impl Fn(&RawSquiggle) -> Option<SdtwResult>,
+) -> (Vec<f64>, Vec<f64>) {
     let mut target = Vec::new();
     let mut background = Vec::new();
     for item in &dataset.reads {
-        if let Some(result) = filter.score(&item.squiggle) {
+        if let Some(result) = score(&item.squiggle) {
             if item.is_target() {
                 target.push(result.cost);
             } else {

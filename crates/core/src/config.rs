@@ -175,7 +175,9 @@ impl SdtwConfig {
     }
 
     /// Upper bound on how much the best (minimum) alignment cost over the DP
-    /// row can still *decrease* after `remaining_samples` more query samples.
+    /// row can still *decrease* after `remaining_samples` more query samples,
+    /// in the int8 datapath's cost units (the units of the match bonus and
+    /// of every `SquiggleFilter` threshold).
     ///
     /// Without a match bonus every transition adds a non-negative distance,
     /// so the row minimum never decreases and the slack is zero. With a

@@ -2,12 +2,12 @@
 //! this crate, one-shot and streaming.
 //!
 //! A [`SquiggleFilter`] owns the pre-computed reference squiggle of the target
-//! virus (forward and reverse strands), a normalizer and an sDTW kernel. For
-//! each read it:
+//! virus (forward and reverse strands), a normalizer and the accelerator's
+//! 8-bit fixed-point sDTW kernel. For each read it:
 //!
 //! 1. takes the first `prefix_samples` raw samples of the read,
 //! 2. normalizes them (mean–MAD by default, as in the accelerator),
-//! 3. optionally quantizes them to signed 8-bit fixed point,
+//! 3. quantizes them to signed 8-bit fixed point (paper §5.3),
 //! 4. aligns them against the reference with subsequence DTW, and
 //! 5. compares the best alignment cost against a threshold: cost above the
 //!    threshold ⇒ the read is not from the target virus ⇒ eject it.
@@ -22,7 +22,7 @@ use crate::classifier::{
     CalibratingFeed, ClassifierSession, Decision, ReadClassifier, StreamClassification,
 };
 use crate::config::SdtwConfig;
-use crate::kernel::{FloatSdtw, IntSdtw, SdtwKernel, SdtwStream};
+use crate::kernel::{IntLane, IntSdtw, KernelStream, SdtwLane};
 use crate::multistage::Stage;
 use crate::result::SdtwResult;
 use crate::telemetry::{metrics, ChunkSpan, SessionStats};
@@ -67,19 +67,6 @@ pub struct Classification {
     pub result: SdtwResult,
 }
 
-/// Numeric precision of the filter datapath.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
-pub enum FilterPrecision {
-    /// Signed 8-bit fixed-point samples and integer accumulation — the
-    /// accelerator datapath ("integer normalization" in Figure 18).
-    #[default]
-    Int8,
-    /// 32-bit floating point — the software baseline.
-    Float32,
-}
-
 /// Configuration of a filter: the final decision at `prefix_samples` against
 /// `threshold`, optionally preceded by one earlier, permissive
 /// [`early_stage`](Self::early_stage).
@@ -87,14 +74,12 @@ pub enum FilterPrecision {
 pub struct FilterConfig {
     /// sDTW kernel configuration.
     pub sdtw: SdtwConfig,
-    /// Datapath precision.
-    pub precision: FilterPrecision,
     /// Number of raw samples of each read to classify on (the paper finds
     /// 2000 samples to be the sweet spot for single-threshold filtering).
     pub prefix_samples: usize,
-    /// Alignment-cost threshold: cost above this ⇒ reject. The scale depends
-    /// on the precision (quantized costs are ≈ 31.75× larger than float
-    /// costs); use [`crate::threshold::calibrate_threshold`] to pick it.
+    /// Alignment-cost threshold in the int8 datapath's cost units: cost
+    /// above this ⇒ reject. Use [`crate::threshold::calibrate_threshold`]
+    /// to pick it.
     pub threshold: f64,
     /// Query normalizer configuration.
     pub normalizer: NormalizerConfig,
@@ -122,20 +107,6 @@ impl FilterConfig {
     pub fn hardware(threshold: f64) -> Self {
         FilterConfig {
             sdtw: SdtwConfig::hardware(),
-            precision: FilterPrecision::Int8,
-            prefix_samples: 2000,
-            threshold,
-            normalizer: NormalizerConfig::default(),
-            early_exit_interval: Self::DEFAULT_EARLY_EXIT_INTERVAL,
-            early_stage: None,
-        }
-    }
-
-    /// The floating-point vanilla-sDTW configuration at a given threshold.
-    pub fn vanilla(threshold: f64) -> Self {
-        FilterConfig {
-            sdtw: SdtwConfig::vanilla(),
-            precision: FilterPrecision::Float32,
             prefix_samples: 2000,
             threshold,
             normalizer: NormalizerConfig::default(),
@@ -169,7 +140,6 @@ impl FilterConfig {
     pub fn two_stage(early_threshold: f64, late_threshold: f64) -> Self {
         FilterConfig {
             sdtw: SdtwConfig::hardware(),
-            precision: FilterPrecision::Int8,
             prefix_samples: 5_000,
             threshold: late_threshold,
             normalizer: NormalizerConfig::default(),
@@ -239,8 +209,8 @@ impl Default for FilterConfig {
 #[derive(Debug, Clone)]
 pub struct SquiggleFilter {
     config: FilterConfig,
-    /// The `config.precision` kernel over both strands of the reference.
-    kernel: Box<dyn SdtwKernel>,
+    /// The int8 kernel over both strands of the reference.
+    kernel: IntSdtw,
     /// [`FilterConfig::stages`]: non-empty, in strictly increasing
     /// `prefix_samples` order.
     stages: Vec<Stage>,
@@ -262,17 +232,8 @@ impl SquiggleFilter {
                 "stage prefixes must be positive and strictly increasing"
             );
         }
-        let kernel: Box<dyn SdtwKernel> = match config.precision {
-            FilterPrecision::Int8 => Box::new(IntSdtw::new(
-                config.sdtw,
-                reference.concatenated_quantized(),
-            )),
-            FilterPrecision::Float32 => {
-                Box::new(FloatSdtw::new(config.sdtw, reference.concatenated()))
-            }
-        };
         SquiggleFilter {
-            kernel,
+            kernel: IntSdtw::new(config.sdtw, reference.concatenated_quantized()),
             stages: config.stages(),
             config,
         }
@@ -293,15 +254,14 @@ impl SquiggleFilter {
     /// Number of reference samples scanned per classification (forward plus
     /// reverse strand).
     pub fn reference_samples(&self) -> usize {
-        self.kernel.reference_len()
+        self.kernel.reference().len()
     }
 
-    /// Scores a read prefix: normalizes, quantizes (if configured) and runs
-    /// sDTW. Returns `None` when the squiggle is empty.
+    /// Scores a read prefix: normalizes, quantizes and runs sDTW. Returns
+    /// `None` when the squiggle is empty.
     ///
-    /// The kernel quantizes per normalized sample when the precision is
-    /// [`FilterPrecision::Int8`], which is bit-identical to quantizing the
-    /// whole normalized prefix up front.
+    /// The kernel quantizes per normalized sample, which is bit-identical to
+    /// quantizing the whole normalized prefix up front.
     pub fn score(&self, squiggle: &RawSquiggle) -> Option<SdtwResult> {
         Some(self.classify_staged(squiggle.samples())?.result)
     }
@@ -328,7 +288,7 @@ impl SquiggleFilter {
     fn classify_staged(&self, samples: &[u16]) -> Option<Classification> {
         let prefix = &samples[..samples.len().min(self.config.prefix_samples)];
         let query = Normalizer::new(self.config.normalizer).normalize_raw(prefix);
-        let mut stream = self.kernel.start();
+        let mut stream = self.kernel.stream();
         let last = self.stages.len() - 1;
         for (index, stage) in self.stages.iter().enumerate() {
             let done = stream.samples_processed();
@@ -361,7 +321,7 @@ impl SquiggleFilter {
             filter: self,
             feed: CalibratingFeed::new(self.config.normalizer, self.config.prefix_samples),
             run: StageRun {
-                stream: self.kernel.start(),
+                stream: self.kernel.stream(),
                 stage: 0,
                 next_check: if interval == 0 { usize::MAX } else { interval },
                 decision: Decision::Wait,
@@ -444,7 +404,7 @@ pub struct FilterSession<'a> {
 /// The part of a [`FilterSession`] its [`CalibratingFeed`] sink mutates.
 #[derive(Debug)]
 struct StageRun<'a> {
-    stream: Box<dyn SdtwStream + 'a>,
+    stream: KernelStream<'a, IntLane>,
     /// Index of the stage whose prefix the stream is heading for.
     stage: usize,
     /// Next sample count at which the early-reject bound is evaluated.
@@ -461,7 +421,7 @@ impl StageRun<'_> {
     /// sink): pushes one normalized sample and returns `true` once a
     /// decision is final.
     fn advance(&mut self, filter: &SquiggleFilter, z: f32) -> bool {
-        self.stream.push_normalized(z);
+        self.stream.push(IntLane::from_normalized(z));
         let n = self.stream.samples_processed();
         let mut stage = filter.stages[self.stage];
         if n == stage.prefix_samples {
@@ -517,13 +477,13 @@ impl FilterSession<'_> {
     fn drive(&mut self, chunk: Option<&[u16]>) {
         let filter = self.filter;
         let Self { feed, run, .. } = self;
-        let span = ChunkSpan::begin(&*run.stream, feed.estimate_ns(), &run.stats);
+        let span = ChunkSpan::begin(&run.stream, feed.estimate_ns(), &run.stats);
         let mut sink = |z: f32| run.advance(filter, z);
         match chunk {
             Some(chunk) => feed.push(chunk, &mut sink),
             None => feed.flush(&mut sink),
         }
-        span.finish(&*run.stream, feed.estimate_ns(), &run.stats);
+        span.finish(&run.stream, feed.estimate_ns(), &run.stats);
         if run.decision.is_final() {
             // A decision the end-of-read flush reached saved nothing: the
             // read is already over.
@@ -629,17 +589,11 @@ mod tests {
     // the workspace `tests/` directory; these unit tests use a small genome
     // to stay fast.
 
-    fn small_filter(
-        precision: FilterPrecision,
-        threshold: f64,
-    ) -> (SquiggleFilter, KmerModel, Sequence) {
+    fn small_filter(threshold: f64) -> (SquiggleFilter, KmerModel, Sequence) {
         let model = KmerModel::synthetic_r94(0);
         let genome = random_genome(11, 3_000);
-        let config = FilterConfig {
-            precision,
-            ..FilterConfig::hardware(threshold)
-        };
-        let filter = SquiggleFilter::from_genome(&model, &genome, config);
+        let filter =
+            SquiggleFilter::from_genome(&model, &genome, FilterConfig::hardware(threshold));
         (filter, model, genome)
     }
 
@@ -650,7 +604,7 @@ mod tests {
 
     #[test]
     fn target_read_scores_below_background_read() {
-        let (filter, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, model, genome) = small_filter(f64::MAX);
         let target = noiseless_squiggle(&model, &genome.subsequence(500, 1_000));
         let background = noiseless_squiggle(&model, &random_genome(99, 500));
         let target_cost = filter.score(&target).unwrap().cost;
@@ -663,7 +617,7 @@ mod tests {
 
     #[test]
     fn threshold_separates_verdicts() {
-        let (filter, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, model, genome) = small_filter(f64::MAX);
         let target = noiseless_squiggle(&model, &genome.subsequence(500, 1_000));
         let background = noiseless_squiggle(&model, &random_genome(99, 500));
         let target_cost = filter.score(&target).unwrap().cost;
@@ -681,18 +635,8 @@ mod tests {
     }
 
     #[test]
-    fn float_precision_also_separates() {
-        let (filter, model, genome) = small_filter(FilterPrecision::Float32, f64::MAX);
-        let target = noiseless_squiggle(&model, &genome.subsequence(0, 600));
-        let background = noiseless_squiggle(&model, &random_genome(98, 600));
-        let target_cost = filter.score(&target).unwrap().cost;
-        let background_cost = filter.score(&background).unwrap().cost;
-        assert!(target_cost < background_cost);
-    }
-
-    #[test]
     fn prefix_limits_samples_used() {
-        let (filter, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, model, genome) = small_filter(f64::MAX);
         let squiggle = noiseless_squiggle(&model, &genome.subsequence(0, 2_000));
         let result = filter.score(&squiggle).unwrap();
         assert_eq!(result.query_samples, 2_000);
@@ -701,7 +645,7 @@ mod tests {
 
     #[test]
     fn empty_squiggle_is_accepted() {
-        let (filter, _, _) = small_filter(FilterPrecision::Int8, 0.0);
+        let (filter, _, _) = small_filter(0.0);
         let classification = filter.classify(&RawSquiggle::new(Vec::new(), 4000.0));
         assert_eq!(classification.verdict, FilterVerdict::Accept);
         assert_eq!(classification.result.query_samples, 0);
@@ -709,14 +653,14 @@ mod tests {
 
     #[test]
     fn reference_covers_both_strands() {
-        let (filter, _, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, _, genome) = small_filter(f64::MAX);
         // forward + reverse, each genome.len() - 5 k-mers long
         assert_eq!(filter.reference_samples(), 2 * (genome.len() - 5));
     }
 
     #[test]
     fn reverse_strand_reads_still_match() {
-        let (filter, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, model, genome) = small_filter(f64::MAX);
         let fragment = genome.subsequence(1_000, 1_500).reverse_complement();
         let squiggle = noiseless_squiggle(&model, &fragment);
         let background = noiseless_squiggle(&model, &random_genome(97, 500));
@@ -739,7 +683,7 @@ mod tests {
         // threshold = MAX ⇒ the early-reject bound can never fire, so the
         // streamed result must equal the one-shot score on the same prefix
         // exactly, for any chunking.
-        let (filter, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, model, genome) = small_filter(f64::MAX);
         let squiggle = noiseless_squiggle(&model, &genome.subsequence(200, 900));
         let want = filter.classify(&squiggle);
         for chunk_size in [1usize, 7, 512, 10_000] {
@@ -763,7 +707,7 @@ mod tests {
             calibration_window: 512,
             ..Default::default()
         };
-        let (base, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (base, model, genome) = small_filter(f64::MAX);
         let probe_config = FilterConfig {
             normalizer,
             ..*base.config()
@@ -804,7 +748,7 @@ mod tests {
 
     #[test]
     fn early_exit_can_be_disabled() {
-        let (filter, _, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, _, genome) = small_filter(f64::MAX);
         // NEG_INFINITY: no cost can pass, so every read rejects — but only
         // at the full prefix, because early exit is off.
         let config = filter
@@ -822,7 +766,7 @@ mod tests {
 
     #[test]
     fn short_and_empty_reads_finalize_like_classify() {
-        let (filter, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, model, genome) = small_filter(f64::MAX);
         // 700 samples — ends before the 2000-sample calibration window.
         let short = noiseless_squiggle(&model, &genome.subsequence(0, 70));
         let want = filter.classify(&short);
@@ -846,7 +790,7 @@ mod tests {
         // A 300-sample read under a 500-sample calibration window with a
         // reject-everything threshold: the decision resolves in finalize and
         // must report the read's actual length, not the calibration window.
-        let (base, model, genome) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (base, model, genome) = small_filter(f64::MAX);
         let config = FilterConfig {
             normalizer: sf_squiggle::normalize::NormalizerConfig {
                 calibration_window: 500,
@@ -865,7 +809,7 @@ mod tests {
 
     #[test]
     fn pushes_after_a_final_decision_are_ignored() {
-        let (filter, _, _) = small_filter(FilterPrecision::Int8, f64::MAX);
+        let (filter, _, _) = small_filter(f64::MAX);
         let mut session = filter.session();
         let d = session.push_chunk(&vec![500u16; 2_500]);
         assert!(d.is_final(), "full prefix forces a decision");
@@ -874,15 +818,5 @@ mod tests {
         assert_eq!(session.push_chunk(&[1, 2, 3]), d);
         assert_eq!(session.samples_consumed(), consumed);
         assert_eq!(session.decision(), d);
-    }
-
-    #[test]
-    fn float_session_also_matches_one_shot() {
-        let (filter, model, genome) = small_filter(FilterPrecision::Float32, f64::MAX);
-        let squiggle = noiseless_squiggle(&model, &genome.subsequence(100, 700));
-        let want = filter.classify(&squiggle);
-        let got = filter.classify_stream(&squiggle);
-        assert_eq!(got.verdict, want.verdict);
-        assert_eq!(got.result, Some(want.result));
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! One generic implementation, [`Sdtw<L>`], monomorphizes to both numeric
 //! domains through the [`SdtwLane`] trait (sample type, cost type, and the
-//! three arithmetic ops the recurrence needs). On top of it sit two
-//! object-safe traits — [`SdtwKernel`] for engines and [`SdtwStream`] for
-//! their resumable row states — which is what the staged filter in
-//! `filter.rs` consumes: one `Box<dyn SdtwKernel>` instead of parallel
-//! Int/Float match arms, with queries crossing the trait boundary as *normalized* `f32`
-//! samples (the integer lane quantizes internally with the exact per-sample
-//! formula the old call sites used, so the unification is bit-exact).
+//! three arithmetic ops the recurrence needs). The staged filter in
+//! `filter.rs` runs the accelerator's domain only: it holds an [`IntSdtw`]
+//! and streams each read through a [`KernelStream<IntLane>`](KernelStream),
+//! feeding it *normalized* `f32` samples that the lane quantizes one at a
+//! time ([`SdtwLane::from_normalized`]), bit-identical to quantizing the
+//! whole prefix up front. [`FloatSdtw`] is the software baseline that the
+//! Figure 18 ablation scores directly.
 //!
 //! # Backends
 //!
@@ -23,8 +23,10 @@
 //!   one compare mask, with column 0 and the sub-8-cell tail left to the
 //!   scalar loop. This is only possible because the accelerator's
 //!   recurrence drops the `S[i][j-1]` reference-deletion input: without it
-//!   no cell of a row depends on another cell of the same row — the exact
-//!   property the paper exploits with one PE per reference position.
+//!   no cell of a row depends on another cell of the same row — the
+//!   property that lets the paper's systolic array (one PE per query
+//!   sample, the reference streaming through) compute an anti-diagonal
+//!   per cycle.
 //!   Configs that allow deletions, and CPUs without AVX2, resolve to Scalar.
 //!
 //! The two backends are bit-identical on every configuration (strict `<`
@@ -32,8 +34,9 @@
 //! default can pick Vector without changing any result.
 //!
 //! Every row evaluates every reference column, as the accelerator's
-//! systolic array does with one PE per reference position, so a stream's
-//! DP work is exactly `samples × reference length` cells.
+//! systolic array does by streaming the whole reference past every query
+//! sample, so a stream's DP work is exactly `samples × reference length`
+//! cells.
 
 use crate::config::{bonus_for_dwell, DistanceMetric, KernelBackend, SdtwConfig};
 use crate::result::SdtwResult;
@@ -215,42 +218,6 @@ impl SdtwLane for FloatLane {
     }
 }
 
-/// Engine-side unification of [`IntSdtw`] / [`FloatSdtw`]: everything the
-/// streaming filters need from a kernel, object safe, queries in normalized
-/// `f32`. Boxed kernels are [`Clone`] (via [`SdtwKernel::clone_kernel`]) so
-/// filters stay cheaply copyable.
-pub trait SdtwKernel: fmt::Debug + Send + Sync {
-    /// Number of reference samples (DP columns).
-    fn reference_len(&self) -> usize;
-    /// Starts a streaming alignment.
-    fn start(&self) -> Box<dyn SdtwStream + '_>;
-    /// Clones the kernel behind the trait object.
-    fn clone_kernel(&self) -> Box<dyn SdtwKernel>;
-}
-
-impl Clone for Box<dyn SdtwKernel> {
-    fn clone(&self) -> Self {
-        self.clone_kernel()
-    }
-}
-
-/// Stream-side unification: the resumable DP row state of an in-progress
-/// alignment, fed normalized `f32` samples.
-pub trait SdtwStream: fmt::Debug {
-    /// Number of query samples processed so far.
-    fn samples_processed(&self) -> usize;
-    /// DP cells this stream has evaluated (samples × reference length).
-    fn cells_evaluated(&self) -> u64;
-    /// Pushes one normalized query sample.
-    fn push_normalized(&mut self, z: f32);
-    /// Pushes a batch of normalized query samples and flushes the one-shot
-    /// DP counters (streaming sessions push per sample instead and flush
-    /// through their chunk spans, so the two accounting paths never overlap).
-    fn extend_normalized(&mut self, query: &[f32]);
-    /// The best subsequence alignment of everything pushed so far.
-    fn best(&self) -> Option<SdtwResult>;
-}
-
 /// Generic subsequence-DTW aligner over a fixed reference signal.
 ///
 /// Use the [`IntSdtw`] / [`FloatSdtw`] aliases; see [`SdtwLane`] for the
@@ -351,20 +318,6 @@ impl<L: SdtwLane> Sdtw<L> {
             scratch_dwell: vec![0; m],
             samples: 0,
         }
-    }
-}
-
-impl<L: SdtwLane> SdtwKernel for Sdtw<L> {
-    fn reference_len(&self) -> usize {
-        self.reference.len()
-    }
-
-    fn start(&self) -> Box<dyn SdtwStream + '_> {
-        Box::new(self.stream())
-    }
-
-    fn clone_kernel(&self) -> Box<dyn SdtwKernel> {
-        Box::new(self.clone())
     }
 }
 
@@ -503,28 +456,6 @@ impl<L: SdtwLane> KernelStream<'_, L> {
     /// position in the best path ending there).
     pub fn dwell(&self) -> &[u32] {
         &self.dwell
-    }
-}
-
-impl<L: SdtwLane> SdtwStream for KernelStream<'_, L> {
-    fn samples_processed(&self) -> usize {
-        self.samples
-    }
-
-    fn cells_evaluated(&self) -> u64 {
-        KernelStream::cells_evaluated(self)
-    }
-
-    fn push_normalized(&mut self, z: f32) {
-        self.push(L::from_normalized(z));
-    }
-
-    fn extend_normalized(&mut self, query: &[f32]) {
-        KernelStream::extend_normalized(self, query);
-    }
-
-    fn best(&self) -> Option<SdtwResult> {
-        KernelStream::best(self)
     }
 }
 
@@ -894,29 +825,23 @@ mod tests {
     }
 
     #[test]
-    fn trait_objects_roundtrip_the_typed_kernels() {
+    fn normalized_stream_matches_quantized_align() {
         let reference = reference_i8(150, 9);
         let query_z: Vec<f32> = (0..80).map(|i| ((i % 17) as f32 - 8.0) / 2.5).collect();
-        let typed = IntSdtw::new(SdtwConfig::hardware(), reference.clone());
-        let boxed: Box<dyn SdtwKernel> = Box::new(typed.clone());
-        let cloned = boxed.clone();
-        assert_eq!(cloned.reference_len(), reference.len());
+        let kernel = IntSdtw::new(SdtwConfig::hardware(), reference.clone());
 
-        // extend_normalized == stream of push_normalized == typed quantize path.
-        let want = typed
-            .align(
-                &query_z
-                    .iter()
-                    .map(|&z| IntLane::from_normalized(z))
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
-        let mut batch = boxed.start();
+        // extend_normalized == per-sample quantize == align on the quantized query.
+        let quantized: Vec<i8> = query_z
+            .iter()
+            .map(|&z| IntLane::from_normalized(z))
+            .collect();
+        let want = kernel.align(&quantized).unwrap();
+        let mut batch = kernel.stream();
         batch.extend_normalized(&query_z);
         assert_eq!(batch.best(), Some(want));
-        let mut stream = boxed.start();
+        let mut stream = kernel.stream();
         for &z in &query_z {
-            stream.push_normalized(z);
+            stream.push(IntLane::from_normalized(z));
         }
         assert_eq!(stream.best(), Some(want));
         assert_eq!(stream.samples_processed(), query_z.len());
@@ -924,6 +849,6 @@ mod tests {
             stream.cells_evaluated(),
             query_z.len() as u64 * reference.len() as u64
         );
-        assert_eq!(boxed.start().best(), None);
+        assert_eq!(kernel.stream().best(), None);
     }
 }

@@ -1,5 +1,5 @@
 //! Floating-point test suite of the sDTW engine in `kernel.rs`: the `f32`
-//! `FloatSdtw` is the software-precision filter, used for the vanilla
+//! `FloatSdtw` is the software-precision kernel, used for the vanilla
 //! baseline and for the Figure 18 ablation points that keep floating-point
 //! normalization.
 

@@ -11,11 +11,11 @@
 //!   removal and match bonus (paper §4.7), each an independent toggle for the
 //!   Figure 18 ablation; plus the [`KernelBackend`] row-update selector.
 //! * [`kernel`] — the unified streaming subsequence-DTW engine: one generic
-//!   implementation behind the [`SdtwKernel`] / [`SdtwStream`] traits, with
-//!   a scalar oracle and an AVX2 vector backend, evaluating every reference
-//!   column of every row (the accelerator's one PE per reference position),
-//!   in the floating-point and 8-bit fixed-point domains ([`FloatSdtw`] /
-//!   [`IntSdtw`]).
+//!   implementation with a scalar oracle and an AVX2 vector backend,
+//!   evaluating every reference column of every row (the accelerator streams
+//!   the whole reference past its one-PE-per-query-sample array), in the
+//!   8-bit fixed-point and floating-point domains ([`IntSdtw`] /
+//!   [`FloatSdtw`]).
 //! * [`classifier`] — the streaming [`ReadClassifier`] API: per-read
 //!   sessions making chunk-wise Accept/Reject/Wait [`Decision`]s, the
 //!   interface every classifier and every consumer in the workspace speaks.
@@ -77,12 +77,8 @@ pub use classifier::{
     ClassifierSession, Decision, ReadClassifier, SessionState, StreamClassification, TargetId,
 };
 pub use config::{DistanceMetric, KernelBackend, SdtwConfig};
-pub use filter::{
-    Classification, FilterConfig, FilterPrecision, FilterSession, FilterVerdict, SquiggleFilter,
-};
-pub use kernel::{
-    FloatLane, FloatSdtw, IntLane, IntSdtw, KernelStream, Sdtw, SdtwKernel, SdtwLane, SdtwStream,
-};
+pub use filter::{Classification, FilterConfig, FilterSession, FilterVerdict, SquiggleFilter};
+pub use kernel::{FloatLane, FloatSdtw, IntLane, IntSdtw, KernelStream, Sdtw, SdtwLane};
 pub use multistage::Stage;
 pub use result::SdtwResult;
 pub use threshold::{calibrate_threshold, OperatingPoint, ThresholdSweep};

@@ -7,7 +7,7 @@
 //! a `ChunkSpan`, so the hot path stays free of clock reads and the flush
 //! itself is a handful of relaxed atomic adds.
 
-use crate::kernel::SdtwStream;
+use crate::kernel::{IntLane, KernelStream};
 use sf_telemetry::{
     register_counter, register_gauge, register_histogram, Counter, Gauge, Histogram, Stopwatch,
 };
@@ -93,7 +93,11 @@ impl ChunkSpan {
     /// Opens a span on the session's DP `stream`, its feed's cumulative
     /// `estimate_ns` and its `stats` accumulators — all *before* the chunk
     /// runs.
-    pub fn begin(stream: &dyn SdtwStream, estimate_ns: u64, stats: &SessionStats) -> Self {
+    pub fn begin(
+        stream: &KernelStream<'_, IntLane>,
+        estimate_ns: u64,
+        stats: &SessionStats,
+    ) -> Self {
         ChunkSpan {
             sw: Stopwatch::start(),
             rows_before: stream.samples_processed(),
@@ -109,7 +113,12 @@ impl ChunkSpan {
     /// are subtracted (the per-sample normalize transform is a few ops
     /// against an O(reference) DP row, so lumping it with DP skews nothing
     /// measurable).
-    pub fn finish(self, stream: &dyn SdtwStream, estimate_ns: u64, stats: &SessionStats) {
+    pub fn finish(
+        self,
+        stream: &KernelStream<'_, IntLane>,
+        estimate_ns: u64,
+        stats: &SessionStats,
+    ) {
         let elapsed = self.sw.elapsed_ns();
         let m = metrics();
         m.chunk_push_ns.record(elapsed);

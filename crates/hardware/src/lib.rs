@@ -8,8 +8,11 @@
 //!
 //! * **functional / cycle-level** — [`ProcessingElement`], [`SystolicArray`],
 //!   [`HardwareNormalizer`] and [`Tile`] execute the same computation as the
-//!   RTL would, cycle by cycle, and are verified bit-exactly against the
-//!   software kernel in `sf-sdtw`;
+//!   RTL would, cycle by cycle. From the quantized query on, the systolic
+//!   array agrees bit for bit with the software kernel (`sf_sdtw::IntSdtw`).
+//!   The normalizer in front of it does not: [`HardwareNormalizer`] is a
+//!   separate Q16.16 model that truncates and estimates once, within 2
+//!   quantization codes of the software normalizer;
 //! * **analytical** — [`AsicModel`] reproduces the Table 4 area/power
 //!   roll-up and [`AcceleratorModel`] the latency/throughput numbers of
 //!   §7.1, Figure 16 and Figure 21.

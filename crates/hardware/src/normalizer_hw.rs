@@ -1,11 +1,15 @@
 //! Hardware normalizer model (paper §5.3, Figure 15).
 //!
 //! The normalizer is a streaming pre-processor in front of each tile: it
-//! accumulates 10-bit raw samples, updates the mean and Mean Absolute
-//! Deviation every 2000 samples, and then emits mean–MAD-normalized samples
-//! clipped to `[-4, 4]` and quantized to signed 8-bit fixed point. All
-//! arithmetic is integer/fixed-point — there is no floating-point unit in the
-//! datapath.
+//! accumulates 10-bit raw samples, estimates the mean and Mean Absolute
+//! Deviation once, over the first calibration window (2000 samples), and
+//! then emits mean–MAD-normalized samples clipped to `[-4, 4]` and quantized
+//! to signed 8-bit fixed point. All arithmetic is integer/fixed-point — there
+//! is no floating-point unit in the datapath. The Q16.16 arithmetic truncates
+//! where the software normalizer (`sf_squiggle::normalize`) rounds to
+//! nearest, so the two are not bit-exact: their codes differ on some
+//! samples, and `matches_software_normalizer_within_quantization_error`
+//! allows 2 codes.
 
 use sf_squiggle::normalize::FIXED_POINT_RANGE;
 

@@ -4,7 +4,7 @@
 use crate::normalizer_hw::HardwareNormalizer;
 use crate::systolic::{SystolicArray, SystolicRun};
 use sf_sdtw::config::SdtwConfig;
-use sf_sdtw::FilterVerdict;
+use sf_sdtw::{FilterVerdict, SdtwResult};
 
 /// Number of PEs per tile in the synthesized design.
 pub const PES_PER_TILE: usize = 2_000;
@@ -140,7 +140,27 @@ impl Tile {
     }
 
     /// Classifies an already-normalized, quantized query.
+    ///
+    /// An empty query is accepted without running the array, on no samples
+    /// and in no cycles, like the software filter's empty read (no evidence
+    /// to eject).
     pub fn classify_quantized(&self, query: &[i8]) -> TileClassification {
+        if query.is_empty() {
+            return TileClassification {
+                verdict: FilterVerdict::Accept,
+                run: SystolicRun {
+                    best: SdtwResult {
+                        cost: 0.0,
+                        end_position: 0,
+                        query_samples: 0,
+                    },
+                    cycles: 0,
+                    last_row: Vec::new(),
+                    active_pes: 0,
+                },
+                latency_s: 0.0,
+            };
+        }
         let run = self.array.classify(query, &self.reference);
         let verdict = if run.best.cost <= self.config.threshold as f64 {
             FilterVerdict::Accept
@@ -244,6 +264,27 @@ mod tests {
         let result = tile.classify_raw(&raw);
         assert_eq!(result.run.active_pes, 500);
         assert!(result.latency_s > 0.0);
+    }
+
+    #[test]
+    fn empty_read_is_accepted_without_running_the_array() {
+        let tile = Tile::new(TileConfig::default(), small_reference(1_000));
+        let want = TileClassification {
+            verdict: FilterVerdict::Accept,
+            run: SystolicRun {
+                best: SdtwResult {
+                    cost: 0.0,
+                    end_position: 0,
+                    query_samples: 0,
+                },
+                cycles: 0,
+                last_row: Vec::new(),
+                active_pes: 0,
+            },
+            latency_s: 0.0,
+        };
+        assert_eq!(tile.classify_quantized(&[]), want);
+        assert_eq!(tile.classify_raw(&[]), want);
     }
 
     #[test]

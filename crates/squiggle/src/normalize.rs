@@ -12,9 +12,11 @@
 //! 4. clips outliers, and
 //! 5. rescales to a signed 8-bit fixed-point value in `[-4, 4]`.
 //!
-//! This module is the bit-exact software counterpart of that pipeline; the
-//! hardware model in `sf-hw` reuses it to verify its own datapath. The
-//! rolling re-estimation state machine is [`CalibratingFeed`]; both the batch
+//! This module is the software (floating-point) model of that pipeline. It
+//! is not bit-exact with the hardware: `sf-hw`'s `HardwareNormalizer` is a
+//! separate Q16.16 model that truncates and estimates once, and its tests
+//! allow 2 quantization codes of difference. The rolling re-estimation
+//! state machine is [`CalibratingFeed`]; both the batch
 //! entry points ([`Normalizer::normalize_raw`] and friends) and the
 //! streaming classifier sessions in `sf-sdtw` are built on it, which is what
 //! keeps chunked streaming bit-identical to one-shot classification (see

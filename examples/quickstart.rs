@@ -77,8 +77,9 @@ fn main() {
     // 5. The kernel surface: `Vector` (the default) runs the AVX2 row update
     //    whenever reference deletions are off and the CPU has AVX2; `Scalar`
     //    is the one-cell-at-a-time oracle it is bit-identical to. Like the
-    //    accelerator's systolic array (one PE per reference position), every
-    //    DP row spans the whole reference, so a read costs exactly
+    //    accelerator's systolic array, which streams the whole reference past
+    //    its one-PE-per-query-sample array, every DP row spans the whole
+    //    reference, so a read costs exactly
     //    samples x reference columns, which the `sdtw.dp_cells` telemetry
     //    counter accounts for. The vector backend is the big software lever:
     //    the checked-in BENCH_batch.json (200 reads x 8 kb, single thread)

@@ -89,8 +89,7 @@ pub mod prelude {
     };
     pub use sf_sdtw::{
         ClassifierSession, Decision, FilterConfig, FilterVerdict, KernelBackend, ReadClassifier,
-        SdtwConfig, SdtwKernel, SdtwStream, SessionState, SquiggleFilter, StreamClassification,
-        TargetId,
+        SdtwConfig, SessionState, SquiggleFilter, StreamClassification, TargetId,
     };
     pub use sf_shard::{
         pan_viral_panel, panel_classifier, PanelConfig, PanelTarget, ShardedClassifier,

@@ -6,16 +6,26 @@
 //! live in the `sf-bench` figure binaries.
 
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::{calibrate_threshold, FilterPrecision, ThresholdSweep};
+use squigglefilter::sdtw::{calibrate_threshold, FloatSdtw, SdtwResult, ThresholdSweep};
 use squigglefilter::sim::{Dataset, DatasetBuilder};
+use squigglefilter::squiggle::normalize::NormalizerConfig;
 
 /// Scores every read of a dataset with `filter`, returning
 /// `(target_costs, background_costs)`.
 fn score_reads(filter: &SquiggleFilter, dataset: &Dataset) -> (Vec<f64>, Vec<f64>) {
+    split_by_label(dataset, |squiggle| filter.score(squiggle))
+}
+
+/// Scores every read of a dataset with `score`, returning
+/// `(target_costs, background_costs)`.
+fn split_by_label(
+    dataset: &Dataset,
+    score: impl Fn(&RawSquiggle) -> Option<SdtwResult>,
+) -> (Vec<f64>, Vec<f64>) {
     let mut target = Vec::new();
     let mut background = Vec::new();
     for item in &dataset.reads {
-        if let Some(result) = filter.score(&item.squiggle) {
+        if let Some(result) = score(&item.squiggle) {
             if item.is_target() {
                 target.push(result.cost);
             } else {
@@ -78,12 +88,17 @@ fn hardware_filter_separates_viral_from_background_reads() {
 #[test]
 fn float_vanilla_filter_also_separates() {
     let dataset = small_dataset(6, 15);
-    let config = FilterConfig {
-        sdtw: SdtwConfig::vanilla(),
-        precision: FilterPrecision::Float32,
-        ..FilterConfig::vanilla(f64::MAX)
-    };
-    let curve = sweep_dataset(&dataset, config);
+    // The software baseline: each read's 2000-sample prefix, normalized and
+    // aligned once in the f32 domain.
+    let model = KmerModel::synthetic_r94(0);
+    let reference = ReferenceSquiggle::from_genome(&model, &dataset.target_genome);
+    let kernel = FloatSdtw::new(SdtwConfig::vanilla(), reference.concatenated());
+    let normalizer = Normalizer::new(NormalizerConfig::default());
+    let (target, background) = split_by_label(&dataset, |squiggle| {
+        let samples = squiggle.samples();
+        kernel.align(&normalizer.normalize_raw(&samples[..samples.len().min(2_000)]))
+    });
+    let curve = calibrate_threshold(&target, &background);
     // Vanilla floating-point sDTW (squared distance, reference deletions) is
     // the weakest configuration on noisy simulated squiggles — the Figure 18
     // ablation explores this in detail; here we only require better than

@@ -1,10 +1,9 @@
 //! Kernel backend parity: the vectorized row update must be bit-identical to
-//! the scalar oracle through the full filter stack — every precision, every
-//! chunk size, with and without mid-stream recalibration drift.
+//! the scalar oracle through the full filter stack — every chunk size, with
+//! and without mid-stream recalibration drift.
 
 use squigglefilter::pore_model::AdcModel;
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::FilterPrecision;
 use squigglefilter::squiggle::normalize::NormalizerConfig;
 
 /// The ideal 10-samples-per-base squiggle for a fragment.
@@ -59,33 +58,27 @@ fn stream(filter: &SquiggleFilter, read: &RawSquiggle, chunk_size: usize) -> Str
 fn vector_backend_is_bit_identical_to_scalar_through_the_filter() {
     let model = KmerModel::synthetic_r94(0);
     let genome = squigglefilter::genome::random::random_genome(12, 2_500);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        for normalizer in normalizer_schedules() {
-            // threshold = MAX: no early exit, so full results (not just
-            // verdicts) must match bit for bit.
-            let base = FilterConfig {
-                precision,
-                normalizer,
-                ..FilterConfig::hardware(f64::MAX)
-            };
-            let mut scalar_config = base;
-            scalar_config.sdtw = base.sdtw.with_backend(KernelBackend::Scalar);
-            let mut vector_config = base;
-            vector_config.sdtw = base.sdtw.with_backend(KernelBackend::Vector);
-            let scalar = SquiggleFilter::from_genome(&model, &genome, scalar_config);
-            let vector = SquiggleFilter::from_genome(&model, &genome, vector_config);
-            for (r, read) in test_reads(&model, &genome).iter().enumerate() {
-                let want = scalar.classify(read);
-                let got = vector.classify(read);
-                assert_eq!(got, want, "one-shot, read {r}, {precision:?}");
-                for chunk_size in [1usize, 7, 512] {
-                    let s = stream(&scalar, read, chunk_size);
-                    let v = stream(&vector, read, chunk_size);
-                    assert_eq!(
-                        v, s,
-                        "streamed, read {r}, chunk {chunk_size}, {precision:?}"
-                    );
-                }
+    for normalizer in normalizer_schedules() {
+        // threshold = MAX: no early exit, so full results (not just
+        // verdicts) must match bit for bit.
+        let base = FilterConfig {
+            normalizer,
+            ..FilterConfig::hardware(f64::MAX)
+        };
+        let mut scalar_config = base;
+        scalar_config.sdtw = base.sdtw.with_backend(KernelBackend::Scalar);
+        let mut vector_config = base;
+        vector_config.sdtw = base.sdtw.with_backend(KernelBackend::Vector);
+        let scalar = SquiggleFilter::from_genome(&model, &genome, scalar_config);
+        let vector = SquiggleFilter::from_genome(&model, &genome, vector_config);
+        for (r, read) in test_reads(&model, &genome).iter().enumerate() {
+            let want = scalar.classify(read);
+            let got = vector.classify(read);
+            assert_eq!(got, want, "one-shot, read {r}");
+            for chunk_size in [1usize, 7, 512] {
+                let s = stream(&scalar, read, chunk_size);
+                let v = stream(&vector, read, chunk_size);
+                assert_eq!(v, s, "streamed, read {r}, chunk {chunk_size}");
             }
         }
     }

@@ -1,12 +1,11 @@
 //! Scheduler/sequential parity: driving N interleaved sessions through the
 //! micro-batched `SessionScheduler` must be bit-identical, per read, to a
 //! sequential `push_chunk`/`finalize` drive of the same chunk stream — for
-//! every chunk size, both kernel precisions, rolling recalibration on
-//! drifting baselines included — and no session may outlive its decision.
+//! every chunk size, rolling recalibration on drifting baselines
+//! included — and no session may outlive its decision.
 
 use squigglefilter::pore_model::AdcModel;
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::FilterPrecision;
 use std::sync::mpsc;
 
 /// The ideal 10-samples-per-base squiggle for a fragment.
@@ -113,28 +112,23 @@ fn sequential_outcome<C: ReadClassifier>(
 fn interleaved_scheduling_is_bit_identical_to_sequential_streaming() {
     let model = KmerModel::synthetic_r94(0);
     let genome = squigglefilter::genome::random::random_genome(12, 2_500);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // threshold = MAX: the early-reject bound can never fire, so the
-        // full classification (score and alignment result included) must
-        // match exactly at every chunk size and worker count.
-        let config = FilterConfig {
-            precision,
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let filter = SquiggleFilter::from_genome(&model, &genome, config);
-        let reads = test_reads(&model, &genome);
-        for chunk_size in [1usize, 7, 512] {
-            for workers in [1usize, 3] {
-                let batch = MicroBatchConfig::default().with_workers(workers);
-                let (got, report) = scheduler_outcomes(&filter, &reads, chunk_size, batch);
-                assert_eq!(report.sessions_completed as usize, reads.len());
-                for (r, read) in reads.iter().enumerate() {
-                    let want = sequential_outcome(&filter, read, chunk_size);
-                    assert_eq!(
-                        got[r], want,
-                        "read {r}, chunk {chunk_size}, workers {workers}, {precision:?}"
-                    );
-                }
+    // threshold = MAX: the early-reject bound can never fire, so the
+    // full classification (score and alignment result included) must
+    // match exactly at every chunk size and worker count.
+    let config = FilterConfig::hardware(f64::MAX);
+    let filter = SquiggleFilter::from_genome(&model, &genome, config);
+    let reads = test_reads(&model, &genome);
+    for chunk_size in [1usize, 7, 512] {
+        for workers in [1usize, 3] {
+            let batch = MicroBatchConfig::default().with_workers(workers);
+            let (got, report) = scheduler_outcomes(&filter, &reads, chunk_size, batch);
+            assert_eq!(report.sessions_completed as usize, reads.len());
+            for (r, read) in reads.iter().enumerate() {
+                let want = sequential_outcome(&filter, read, chunk_size);
+                assert_eq!(
+                    got[r], want,
+                    "read {r}, chunk {chunk_size}, workers {workers}"
+                );
             }
         }
     }
@@ -165,39 +159,33 @@ fn early_exits_and_recalibration_drift_stay_bit_identical_under_scheduling() {
     let normalizer = squigglefilter::squiggle::normalize::NormalizerConfig::default()
         .with_calibration_window(1_000)
         .with_recalibration_interval(500);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // Bonus-free kernel: the early-reject bound is exact in both cost
-        // domains (see tests/streaming_parity.rs for the rationale).
-        let probe_config = FilterConfig {
-            precision,
-            normalizer,
-            sdtw: SdtwConfig::hardware_without_bonus(),
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let probe = SquiggleFilter::from_genome(&model, &genome, probe_config);
-        let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
-        let t = probe.score(&reads[0]).expect("target scores").cost;
-        let b = probe.score(&reads[1]).expect("background scores").cost;
-        assert!(t < b, "{precision:?}: target {t} vs background {b}");
-        let filter = SquiggleFilter::from_genome(
-            &model,
-            &genome,
-            probe_config.with_threshold((t + b) / 2.0),
-        );
-        // The junk read must genuinely early-exit so the eviction path is on
-        // the tested surface.
-        assert!(filter.classify_stream(&reads[3]).decided_early);
-        for chunk_size in [1usize, 7, 512] {
-            for workers in [1usize, 3] {
-                let batch = MicroBatchConfig::default().with_workers(workers);
-                let (got, _) = scheduler_outcomes(&filter, &reads, chunk_size, batch);
-                for (r, read) in reads.iter().enumerate() {
-                    let want = sequential_outcome(&filter, read, chunk_size);
-                    assert_eq!(
-                        got[r], want,
-                        "read {r}, chunk {chunk_size}, workers {workers}, {precision:?}"
-                    );
-                }
+    // Bonus-free kernel: the early-reject bound is exact (see
+    // tests/streaming_parity.rs for the rationale).
+    let probe_config = FilterConfig {
+        normalizer,
+        sdtw: SdtwConfig::hardware_without_bonus(),
+        ..FilterConfig::hardware(f64::MAX)
+    };
+    let probe = SquiggleFilter::from_genome(&model, &genome, probe_config);
+    let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
+    let t = probe.score(&reads[0]).expect("target scores").cost;
+    let b = probe.score(&reads[1]).expect("background scores").cost;
+    assert!(t < b, "target {t} vs background {b}");
+    let filter =
+        SquiggleFilter::from_genome(&model, &genome, probe_config.with_threshold((t + b) / 2.0));
+    // The junk read must genuinely early-exit so the eviction path is on
+    // the tested surface.
+    assert!(filter.classify_stream(&reads[3]).decided_early);
+    for chunk_size in [1usize, 7, 512] {
+        for workers in [1usize, 3] {
+            let batch = MicroBatchConfig::default().with_workers(workers);
+            let (got, _) = scheduler_outcomes(&filter, &reads, chunk_size, batch);
+            for (r, read) in reads.iter().enumerate() {
+                let want = sequential_outcome(&filter, read, chunk_size);
+                assert_eq!(
+                    got[r], want,
+                    "read {r}, chunk {chunk_size}, workers {workers}"
+                );
             }
         }
     }

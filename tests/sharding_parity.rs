@@ -5,13 +5,13 @@
 //! `StreamClassification` equality) to the single-reference path; growing
 //! the catalog (1 → 2 → 8 shards) never changes a verdict or the winning
 //! target; the merge is a pure order-invariant function of the per-shard
-//! outcomes; streaming ≡ one-shot at every chunk size and precision; and
+//! outcomes; streaming ≡ one-shot at every chunk size; and
 //! sharded sessions under the micro-batched `SessionScheduler` match the
 //! sequential drive, read for read.
 
 use squigglefilter::pore_model::AdcModel;
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::{FilterPrecision, SdtwConfig, TargetId};
+use squigglefilter::sdtw::{SdtwConfig, TargetId};
 use squigglefilter::shard::merge_outcomes;
 use std::sync::mpsc;
 
@@ -49,13 +49,8 @@ fn test_reads(model: &KmerModel, genome: &Sequence) -> Vec<RawSquiggle> {
 
 /// A filter config with a threshold calibrated between the target and
 /// background read costs, so accepts, rejects and early exits all fire.
-fn calibrated_config(
-    model: &KmerModel,
-    genome: &Sequence,
-    precision: FilterPrecision,
-) -> FilterConfig {
+fn calibrated_config(model: &KmerModel, genome: &Sequence) -> FilterConfig {
     let probe_config = FilterConfig {
-        precision,
         sdtw: SdtwConfig::hardware_without_bonus(),
         ..FilterConfig::hardware(f64::MAX)
     };
@@ -63,7 +58,7 @@ fn calibrated_config(
     let reads = test_reads(model, genome);
     let t = probe.score(&reads[0]).expect("target scores").cost;
     let b = probe.score(&reads[1]).expect("background scores").cost;
-    assert!(t < b, "{precision:?}: target {t} vs background {b}");
+    assert!(t < b, "target {t} vs background {b}");
     probe_config.with_threshold((t + b) / 2.0)
 }
 
@@ -85,34 +80,29 @@ fn sharded(
 fn one_shard_catalog_is_bit_identical_to_the_single_reference_path() {
     let model = KmerModel::synthetic_r94(0);
     let genomes = reference_set(1);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // Both regimes: no threshold (full alignments resolve) and a
-        // calibrated threshold (early rejects fire mid-read).
-        let configs = [
-            FilterConfig {
-                precision,
-                ..FilterConfig::hardware(f64::MAX)
-            },
-            calibrated_config(&model, &genomes[0], precision),
-        ];
-        for config in configs {
-            let single = SquiggleFilter::from_genome(&model, &genomes[0], config);
-            let catalog = sharded(&model, &genomes, config);
-            for (r, read) in test_reads(&model, &genomes[0]).iter().enumerate() {
-                let want = single.classify_stream(read);
-                let got = catalog.classify_stream(read);
-                // Whole-struct equality: score, alignment result, sample
-                // count and early flag all match bit for bit — the only
-                // difference is the stamped winning target.
-                assert_eq!(
-                    got,
-                    StreamClassification {
-                        target: Some(TargetId(0)),
-                        ..want
-                    },
-                    "read {r}, {precision:?}"
-                );
-            }
+    // Both regimes: no threshold (full alignments resolve) and a
+    // calibrated threshold (early rejects fire mid-read).
+    let configs = [
+        FilterConfig::hardware(f64::MAX),
+        calibrated_config(&model, &genomes[0]),
+    ];
+    for config in configs {
+        let single = SquiggleFilter::from_genome(&model, &genomes[0], config);
+        let catalog = sharded(&model, &genomes, config);
+        for (r, read) in test_reads(&model, &genomes[0]).iter().enumerate() {
+            let want = single.classify_stream(read);
+            let got = catalog.classify_stream(read);
+            // Whole-struct equality: score, alignment result, sample
+            // count and early flag all match bit for bit — the only
+            // difference is the stamped winning target.
+            assert_eq!(
+                got,
+                StreamClassification {
+                    target: Some(TargetId(0)),
+                    ..want
+                },
+                "read {r}"
+            );
         }
     }
 }
@@ -121,30 +111,28 @@ fn one_shard_catalog_is_bit_identical_to_the_single_reference_path() {
 fn growing_the_catalog_changes_neither_verdict_nor_winner() {
     let model = KmerModel::synthetic_r94(0);
     let genomes = reference_set(8);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        let config = calibrated_config(&model, &genomes[0], precision);
-        let reads = test_reads(&model, &genomes[0]);
-        let baseline: Vec<StreamClassification> = {
-            let catalog = sharded(&model, &genomes[..1], config);
-            reads.iter().map(|r| catalog.classify_stream(r)).collect()
-        };
-        for shard_count in [2usize, 8] {
-            let catalog = sharded(&model, &genomes[..shard_count], config);
-            for (r, read) in reads.iter().enumerate() {
-                let got = catalog.classify_stream(read);
+    let config = calibrated_config(&model, &genomes[0]);
+    let reads = test_reads(&model, &genomes[0]);
+    let baseline: Vec<StreamClassification> = {
+        let catalog = sharded(&model, &genomes[..1], config);
+        reads.iter().map(|r| catalog.classify_stream(r)).collect()
+    };
+    for shard_count in [2usize, 8] {
+        let catalog = sharded(&model, &genomes[..shard_count], config);
+        for (r, read) in reads.iter().enumerate() {
+            let got = catalog.classify_stream(read);
+            assert_eq!(
+                got.verdict, baseline[r].verdict,
+                "read {r}, {shard_count} shards"
+            );
+            if got.verdict.is_accept() {
+                // Accepted reads keep attributing to the true target no
+                // matter how many decoy references join the catalog.
                 assert_eq!(
-                    got.verdict, baseline[r].verdict,
-                    "read {r}, {shard_count} shards, {precision:?}"
+                    got.target,
+                    Some(TargetId(0)),
+                    "read {r}, {shard_count} shards"
                 );
-                if got.verdict.is_accept() {
-                    // Accepted reads keep attributing to the true target no
-                    // matter how many decoy references join the catalog.
-                    assert_eq!(
-                        got.target,
-                        Some(TargetId(0)),
-                        "read {r}, {shard_count} shards, {precision:?}"
-                    );
-                }
             }
         }
     }
@@ -154,7 +142,7 @@ fn growing_the_catalog_changes_neither_verdict_nor_winner() {
 fn merge_is_invariant_under_input_permutation() {
     let model = KmerModel::synthetic_r94(0);
     let genomes = reference_set(8);
-    let config = calibrated_config(&model, &genomes[0], FilterPrecision::Int8);
+    let config = calibrated_config(&model, &genomes[0]);
     let filters: Vec<SquiggleFilter> = genomes
         .iter()
         .map(|g| SquiggleFilter::from_genome(&model, g, config))
@@ -210,7 +198,7 @@ fn merge_breaks_score_ties_order_independently() {
 fn catalog_order_changes_neither_verdict_nor_winning_name() {
     let model = KmerModel::synthetic_r94(0);
     let genomes = reference_set(4);
-    let config = calibrated_config(&model, &genomes[0], FilterPrecision::Int8);
+    let config = calibrated_config(&model, &genomes[0]);
     let forward = sharded(&model, &genomes, config);
     let reversed: Vec<Sequence> = genomes.iter().rev().cloned().collect();
     let backward = ShardedClassifier::new(reversed.iter().enumerate().map(|(i, genome)| {
@@ -238,24 +226,18 @@ fn catalog_order_changes_neither_verdict_nor_winning_name() {
 fn sharded_streaming_is_bit_identical_to_one_shot() {
     let model = KmerModel::synthetic_r94(0);
     let genomes = reference_set(3);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        let config = calibrated_config(&model, &genomes[0], precision);
-        let catalog = sharded(&model, &genomes, config);
-        for (r, read) in test_reads(&model, &genomes[0]).iter().enumerate() {
-            let want = catalog.classify_stream(read);
-            for chunk_size in [1usize, 7, 512] {
-                let mut session = catalog.session();
-                for chunk in read.samples().chunks(chunk_size) {
-                    if session.push_chunk(chunk).is_final() {
-                        break;
-                    }
+    let config = calibrated_config(&model, &genomes[0]);
+    let catalog = sharded(&model, &genomes, config);
+    for (r, read) in test_reads(&model, &genomes[0]).iter().enumerate() {
+        let want = catalog.classify_stream(read);
+        for chunk_size in [1usize, 7, 512] {
+            let mut session = catalog.session();
+            for chunk in read.samples().chunks(chunk_size) {
+                if session.push_chunk(chunk).is_final() {
+                    break;
                 }
-                assert_eq!(
-                    session.finalize(),
-                    want,
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
             }
+            assert_eq!(session.finalize(), want, "read {r}, chunk {chunk_size}");
         }
     }
 }
@@ -330,21 +312,19 @@ fn sequential_outcome<C: ReadClassifier>(
 fn sharded_sessions_under_the_scheduler_match_the_sequential_drive() {
     let model = KmerModel::synthetic_r94(0);
     let genomes = reference_set(3);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        let config = calibrated_config(&model, &genomes[0], precision);
-        let catalog = sharded(&model, &genomes, config);
-        let reads = test_reads(&model, &genomes[0]);
-        for chunk_size in [7usize, 512] {
-            for workers in [1usize, 3] {
-                let batch = MicroBatchConfig::default().with_workers(workers);
-                let got = scheduler_outcomes(&catalog, &reads, chunk_size, batch);
-                for (r, read) in reads.iter().enumerate() {
-                    let want = sequential_outcome(&catalog, read, chunk_size);
-                    assert_eq!(
-                        got[r], want,
-                        "read {r}, chunk {chunk_size}, workers {workers}, {precision:?}"
-                    );
-                }
+    let config = calibrated_config(&model, &genomes[0]);
+    let catalog = sharded(&model, &genomes, config);
+    let reads = test_reads(&model, &genomes[0]);
+    for chunk_size in [7usize, 512] {
+        for workers in [1usize, 3] {
+            let batch = MicroBatchConfig::default().with_workers(workers);
+            let got = scheduler_outcomes(&catalog, &reads, chunk_size, batch);
+            for (r, read) in reads.iter().enumerate() {
+                let want = sequential_outcome(&catalog, read, chunk_size);
+                assert_eq!(
+                    got[r], want,
+                    "read {r}, chunk {chunk_size}, workers {workers}"
+                );
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Streaming/one-shot parity: chunked streaming classification must be
 //! bit-identical to the one-shot `classify` on the same prefix, for every
-//! chunk size and both kernel precisions — and chunk boundaries must never
-//! influence when a decision fires.
+//! chunk size — and chunk boundaries must never influence when a decision
+//! fires.
 
 use squigglefilter::pore_model::AdcModel;
 use squigglefilter::prelude::*;
-use squigglefilter::sdtw::{FilterPrecision, Stage};
+use squigglefilter::sdtw::Stage;
 use squigglefilter::squiggle::normalize::NormalizerConfig;
 
 /// The ideal 10-samples-per-base squiggle for a fragment.
@@ -38,33 +38,25 @@ fn test_reads(model: &KmerModel, genome: &Sequence) -> Vec<RawSquiggle> {
 fn chunked_streaming_is_bit_identical_to_one_shot() {
     let model = KmerModel::synthetic_r94(0);
     let genome = squigglefilter::genome::random::random_genome(12, 2_500);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // threshold = MAX: the early-reject bound can never fire, so results
-        // (not just verdicts) must match exactly at every chunk size.
-        let config = FilterConfig {
-            precision,
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let filter = SquiggleFilter::from_genome(&model, &genome, config);
-        for (r, read) in test_reads(&model, &genome).iter().enumerate() {
-            let want = filter.classify(&read.prefix(config.prefix_samples));
-            for chunk_size in [1usize, 7, 512] {
-                let mut session = filter.start_read();
-                for chunk in read.samples().chunks(chunk_size) {
-                    let _ = session.push_chunk(chunk);
-                }
-                let got = session.finalize();
-                assert_eq!(
-                    got.verdict, want.verdict,
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
-                assert_eq!(
-                    got.result,
-                    Some(want.result),
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
-                assert_eq!(got.score, want.result.cost);
+    // threshold = MAX: the early-reject bound can never fire, so results
+    // (not just verdicts) must match exactly at every chunk size.
+    let config = FilterConfig::hardware(f64::MAX);
+    let filter = SquiggleFilter::from_genome(&model, &genome, config);
+    for (r, read) in test_reads(&model, &genome).iter().enumerate() {
+        let want = filter.classify(&read.prefix(config.prefix_samples));
+        for chunk_size in [1usize, 7, 512] {
+            let mut session = filter.start_read();
+            for chunk in read.samples().chunks(chunk_size) {
+                let _ = session.push_chunk(chunk);
             }
+            let got = session.finalize();
+            assert_eq!(got.verdict, want.verdict, "read {r}, chunk {chunk_size}");
+            assert_eq!(
+                got.result,
+                Some(want.result),
+                "read {r}, chunk {chunk_size}"
+            );
+            assert_eq!(got.score, want.result.cost);
         }
     }
 }
@@ -79,63 +71,56 @@ fn early_exit_verdicts_match_one_shot_and_are_chunk_invariant() {
         calibration_window: 500,
         ..Default::default()
     };
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // Bonus-free kernel: the early-reject bound is then exact in both
-        // cost domains (the match bonus's slack term scales with the Int8
-        // domain and drowns the ~32x smaller Float32 costs; the with-bonus
-        // bound is exercised by the sf-sdtw unit tests).
-        let probe_config = FilterConfig {
-            precision,
-            normalizer,
-            sdtw: SdtwConfig::hardware_without_bonus(),
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let probe = SquiggleFilter::from_genome(&model, &genome, probe_config);
-        let reads = test_reads(&model, &genome);
-        let t = probe.score(&reads[0]).expect("target scores").cost;
-        let b = probe.score(&reads[1]).expect("background scores").cost;
-        assert!(t < b, "{precision:?}: target {t} vs background {b}");
-        let filter = SquiggleFilter::from_genome(
-            &model,
-            &genome,
-            probe_config.with_threshold((t + b) / 2.0),
-        );
-        for (r, read) in reads.iter().enumerate() {
-            // The early-reject bound is sound: streamed verdicts match the
-            // one-shot verdict on the same prefix...
-            let want = filter.classify(&read.prefix(probe_config.prefix_samples));
-            let reference = filter.classify_stream(read);
-            assert_eq!(reference.verdict, want.verdict, "read {r}, {precision:?}");
-            // ...and the decision point is independent of chunking.
-            for chunk_size in [1usize, 7, 512] {
-                let mut session = filter.start_read();
-                for chunk in read.samples().chunks(chunk_size) {
-                    if session.push_chunk(chunk).is_final() {
-                        break;
-                    }
+    // Bonus-free kernel: the early-reject slack is then zero, so the bound
+    // is exact (the with-bonus bound is exercised by the sf-sdtw unit
+    // tests).
+    let probe_config = FilterConfig {
+        normalizer,
+        sdtw: SdtwConfig::hardware_without_bonus(),
+        ..FilterConfig::hardware(f64::MAX)
+    };
+    let probe = SquiggleFilter::from_genome(&model, &genome, probe_config);
+    let reads = test_reads(&model, &genome);
+    let t = probe.score(&reads[0]).expect("target scores").cost;
+    let b = probe.score(&reads[1]).expect("background scores").cost;
+    assert!(t < b, "target {t} vs background {b}");
+    let filter =
+        SquiggleFilter::from_genome(&model, &genome, probe_config.with_threshold((t + b) / 2.0));
+    for (r, read) in reads.iter().enumerate() {
+        // The early-reject bound is sound: streamed verdicts match the
+        // one-shot verdict on the same prefix...
+        let want = filter.classify(&read.prefix(probe_config.prefix_samples));
+        let reference = filter.classify_stream(read);
+        assert_eq!(reference.verdict, want.verdict, "read {r}");
+        // ...and the decision point is independent of chunking.
+        for chunk_size in [1usize, 7, 512] {
+            let mut session = filter.start_read();
+            for chunk in read.samples().chunks(chunk_size) {
+                if session.push_chunk(chunk).is_final() {
+                    break;
                 }
-                let got = session.finalize();
-                assert_eq!(
-                    got.verdict, reference.verdict,
-                    "read {r}, chunk {chunk_size}"
-                );
-                assert_eq!(
-                    got.samples_consumed, reference.samples_consumed,
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
-                assert_eq!(got.decided_early, reference.decided_early);
             }
+            let got = session.finalize();
+            assert_eq!(
+                got.verdict, reference.verdict,
+                "read {r}, chunk {chunk_size}"
+            );
+            assert_eq!(
+                got.samples_consumed, reference.samples_consumed,
+                "read {r}, chunk {chunk_size}"
+            );
+            assert_eq!(got.decided_early, reference.decided_early);
         }
-        // The junk read must actually demonstrate an early eject.
-        let junk = filter.classify_stream(&reads[3]);
-        assert_eq!(junk.verdict, FilterVerdict::Reject, "{precision:?}");
-        assert!(junk.decided_early, "{precision:?}");
-        assert!(
-            junk.samples_consumed < probe_config.prefix_samples,
-            "{precision:?}: consumed {}",
-            junk.samples_consumed
-        );
     }
+    // The junk read must actually demonstrate an early eject.
+    let junk = filter.classify_stream(&reads[3]);
+    assert_eq!(junk.verdict, FilterVerdict::Reject);
+    assert!(junk.decided_early);
+    assert!(
+        junk.samples_consumed < probe_config.prefix_samples,
+        "consumed {}",
+        junk.samples_consumed
+    );
 }
 
 /// Adds a linear upward baseline drift (1 ADC count every 64 samples, ~31
@@ -158,41 +143,34 @@ fn rolling_recalibration_stays_bit_identical_on_drifting_baselines() {
     // Rolling re-estimation fires mid-prefix (window 500, re-estimated every
     // 250 samples < prefix 2000): chunked streaming must still be
     // bit-identical to the one-shot path on the same prefix, for every chunk
-    // size, both precisions and a two-stage filter, even while the
-    // parameters drift.
+    // size and a two-stage filter, even while the parameters drift.
     let model = KmerModel::synthetic_r94(0);
     let genome = squigglefilter::genome::random::random_genome(12, 2_500);
     let normalizer = squigglefilter::squiggle::normalize::NormalizerConfig::default()
         .with_calibration_window(500)
         .with_recalibration_interval(250);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // threshold = MAX: the early-reject bound can never fire, so results
-        // (not just verdicts) must match exactly at every chunk size.
-        let config = FilterConfig {
-            precision,
-            normalizer,
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let filter = SquiggleFilter::from_genome(&model, &genome, config);
-        for (r, read) in test_reads(&model, &genome).iter().enumerate() {
-            let read = with_drift(read);
-            let want = filter.classify(&read.prefix(config.prefix_samples));
-            for chunk_size in [1usize, 7, 512] {
-                let mut session = filter.start_read();
-                for chunk in read.samples().chunks(chunk_size) {
-                    let _ = session.push_chunk(chunk);
-                }
-                let got = session.finalize();
-                assert_eq!(
-                    got.verdict, want.verdict,
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
-                assert_eq!(
-                    got.result,
-                    Some(want.result),
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
+    // threshold = MAX: the early-reject bound can never fire, so results
+    // (not just verdicts) must match exactly at every chunk size.
+    let config = FilterConfig {
+        normalizer,
+        ..FilterConfig::hardware(f64::MAX)
+    };
+    let filter = SquiggleFilter::from_genome(&model, &genome, config);
+    for (r, read) in test_reads(&model, &genome).iter().enumerate() {
+        let read = with_drift(read);
+        let want = filter.classify(&read.prefix(config.prefix_samples));
+        for chunk_size in [1usize, 7, 512] {
+            let mut session = filter.start_read();
+            for chunk in read.samples().chunks(chunk_size) {
+                let _ = session.push_chunk(chunk);
             }
+            let got = session.finalize();
+            assert_eq!(got.verdict, want.verdict, "read {r}, chunk {chunk_size}");
+            assert_eq!(
+                got.result,
+                Some(want.result),
+                "read {r}, chunk {chunk_size}"
+            );
         }
     }
     // Two stages (1000, then the 2000-sample prefix) carry one DP row across
@@ -329,82 +307,73 @@ fn staged_early_exit_rejects_before_the_stage_prefix_and_matches_one_shot() {
         ..Default::default()
     };
     let early_prefix = 1_000;
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // Bonus-free kernel: the early-reject bound is exact in both cost
-        // domains (see early_exit_verdicts_match_one_shot_and_are_chunk_invariant).
-        let probe_config = FilterConfig {
-            precision,
-            normalizer,
-            sdtw: SdtwConfig::hardware_without_bonus(),
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let reads = test_reads(&model, &genome);
-        let cost = |prefix_samples: usize, read: &RawSquiggle| {
-            let probe = SquiggleFilter::from_genome(
-                &model,
-                &genome,
-                probe_config.with_prefix_samples(prefix_samples),
-            );
-            probe.score(read).expect("read scores").cost
-        };
-        // Stage 0 sits between the target and the junk read at 1000
-        // samples; the final stage between the target and the background
-        // read at the full prefix.
-        let (t_early, junk_early) = (cost(early_prefix, &reads[0]), cost(early_prefix, &reads[3]));
-        assert!(
-            t_early < junk_early,
-            "{precision:?}: {t_early} vs {junk_early}"
+    // Bonus-free kernel: the early-reject bound is exact (see
+    // early_exit_verdicts_match_one_shot_and_are_chunk_invariant).
+    let probe_config = FilterConfig {
+        normalizer,
+        sdtw: SdtwConfig::hardware_without_bonus(),
+        ..FilterConfig::hardware(f64::MAX)
+    };
+    let reads = test_reads(&model, &genome);
+    let cost = |prefix_samples: usize, read: &RawSquiggle| {
+        let probe = SquiggleFilter::from_genome(
+            &model,
+            &genome,
+            probe_config.with_prefix_samples(prefix_samples),
         );
-        let (t, b) = (
-            cost(probe_config.prefix_samples, &reads[0]),
-            cost(probe_config.prefix_samples, &reads[1]),
-        );
-        assert!(t < b, "{precision:?}: target {t} vs background {b}");
-        let config = FilterConfig {
-            early_stage: Some(Stage {
-                prefix_samples: early_prefix,
-                threshold: (t_early + junk_early) / 2.0,
-            }),
-            ..probe_config.with_threshold((t + b) / 2.0)
-        };
-        assert_eq!(
-            config.early_exit_interval,
-            FilterConfig::DEFAULT_EARLY_EXIT_INTERVAL
-        );
-        let filter = SquiggleFilter::from_genome(&model, &genome, config);
-        for (r, read) in reads.iter().enumerate() {
-            let want = filter.classify(read);
-            let reference = filter.classify_stream(read);
-            assert_eq!(reference.verdict, want.verdict, "read {r}, {precision:?}");
-            for chunk_size in [1usize, 7, 512] {
-                let mut session = filter.start_read();
-                for chunk in read.samples().chunks(chunk_size) {
-                    if session.push_chunk(chunk).is_final() {
-                        break;
-                    }
+        probe.score(read).expect("read scores").cost
+    };
+    // Stage 0 sits between the target and the junk read at 1000
+    // samples; the final stage between the target and the background
+    // read at the full prefix.
+    let (t_early, junk_early) = (cost(early_prefix, &reads[0]), cost(early_prefix, &reads[3]));
+    assert!(t_early < junk_early, "{t_early} vs {junk_early}");
+    let (t, b) = (
+        cost(probe_config.prefix_samples, &reads[0]),
+        cost(probe_config.prefix_samples, &reads[1]),
+    );
+    assert!(t < b, "target {t} vs background {b}");
+    let config = FilterConfig {
+        early_stage: Some(Stage {
+            prefix_samples: early_prefix,
+            threshold: (t_early + junk_early) / 2.0,
+        }),
+        ..probe_config.with_threshold((t + b) / 2.0)
+    };
+    assert_eq!(
+        config.early_exit_interval,
+        FilterConfig::DEFAULT_EARLY_EXIT_INTERVAL
+    );
+    let filter = SquiggleFilter::from_genome(&model, &genome, config);
+    for (r, read) in reads.iter().enumerate() {
+        let want = filter.classify(read);
+        let reference = filter.classify_stream(read);
+        assert_eq!(reference.verdict, want.verdict, "read {r}");
+        for chunk_size in [1usize, 7, 512] {
+            let mut session = filter.start_read();
+            for chunk in read.samples().chunks(chunk_size) {
+                if session.push_chunk(chunk).is_final() {
+                    break;
                 }
-                let got = session.finalize();
-                assert_eq!(
-                    got.verdict, want.verdict,
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
-                assert_eq!(
-                    got.samples_consumed, reference.samples_consumed,
-                    "read {r}, chunk {chunk_size}, {precision:?}"
-                );
-                assert_eq!(got.decided_early, reference.decided_early);
             }
+            let got = session.finalize();
+            assert_eq!(got.verdict, want.verdict, "read {r}, chunk {chunk_size}");
+            assert_eq!(
+                got.samples_consumed, reference.samples_consumed,
+                "read {r}, chunk {chunk_size}"
+            );
+            assert_eq!(got.decided_early, reference.decided_early);
         }
-        // The junk read is ejected early, before stage 0's own prefix.
-        let junk = filter.classify_stream(&reads[3]);
-        assert_eq!(junk.verdict, FilterVerdict::Reject, "{precision:?}");
-        assert!(junk.decided_early, "{precision:?}");
-        assert!(
-            junk.samples_consumed < early_prefix,
-            "{precision:?}: consumed {}",
-            junk.samples_consumed
-        );
     }
+    // The junk read is ejected early, before stage 0's own prefix.
+    let junk = filter.classify_stream(&reads[3]);
+    assert_eq!(junk.verdict, FilterVerdict::Reject);
+    assert!(junk.decided_early);
+    assert!(
+        junk.samples_consumed < early_prefix,
+        "consumed {}",
+        junk.samples_consumed
+    );
 }
 
 #[test]
@@ -420,53 +389,47 @@ fn rolling_recalibration_decides_before_the_prefix() {
     let normalizer = squigglefilter::squiggle::normalize::NormalizerConfig::default()
         .with_calibration_window(1_000)
         .with_recalibration_interval(500);
-    for precision in [FilterPrecision::Int8, FilterPrecision::Float32] {
-        // Bonus-free kernel: the early-reject bound is exact in both cost
-        // domains (see early_exit_verdicts_match_one_shot_and_are_chunk_invariant).
-        let probe_config = FilterConfig {
-            precision,
-            normalizer,
-            sdtw: SdtwConfig::hardware_without_bonus(),
-            ..FilterConfig::hardware(f64::MAX)
-        };
-        let probe = SquiggleFilter::from_genome(&model, &genome, probe_config);
-        let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
-        let t = probe.score(&reads[0]).expect("target scores").cost;
-        let b = probe.score(&reads[1]).expect("background scores").cost;
-        assert!(t < b, "{precision:?}: target {t} vs background {b}");
-        let filter = SquiggleFilter::from_genome(
-            &model,
-            &genome,
-            probe_config.with_threshold((t + b) / 2.0),
-        );
-        // The drifting square wave decides well before the 2000-sample
-        // prefix — and the early verdict matches the one-shot path.
-        let junk = filter.classify_stream(&reads[3]);
-        assert_eq!(junk.verdict, FilterVerdict::Reject, "{precision:?}");
-        assert!(junk.decided_early, "{precision:?}");
-        assert!(
-            junk.samples_consumed < probe_config.prefix_samples,
-            "{precision:?}: consumed {}",
-            junk.samples_consumed
-        );
-        assert_eq!(
-            filter
-                .classify(&reads[3].prefix(probe_config.prefix_samples))
-                .verdict,
-            FilterVerdict::Reject,
-            "{precision:?}: early reject must match one-shot"
-        );
-        // And the decision point is chunk-invariant.
-        for chunk_size in [1usize, 7, 512] {
-            let mut session = filter.start_read();
-            for chunk in reads[3].samples().chunks(chunk_size) {
-                if session.push_chunk(chunk).is_final() {
-                    break;
-                }
+    // Bonus-free kernel: the early-reject bound is exact (see
+    // early_exit_verdicts_match_one_shot_and_are_chunk_invariant).
+    let probe_config = FilterConfig {
+        normalizer,
+        sdtw: SdtwConfig::hardware_without_bonus(),
+        ..FilterConfig::hardware(f64::MAX)
+    };
+    let probe = SquiggleFilter::from_genome(&model, &genome, probe_config);
+    let reads: Vec<RawSquiggle> = test_reads(&model, &genome).iter().map(with_drift).collect();
+    let t = probe.score(&reads[0]).expect("target scores").cost;
+    let b = probe.score(&reads[1]).expect("background scores").cost;
+    assert!(t < b, "target {t} vs background {b}");
+    let filter =
+        SquiggleFilter::from_genome(&model, &genome, probe_config.with_threshold((t + b) / 2.0));
+    // The drifting square wave decides well before the 2000-sample
+    // prefix — and the early verdict matches the one-shot path.
+    let junk = filter.classify_stream(&reads[3]);
+    assert_eq!(junk.verdict, FilterVerdict::Reject);
+    assert!(junk.decided_early);
+    assert!(
+        junk.samples_consumed < probe_config.prefix_samples,
+        "consumed {}",
+        junk.samples_consumed
+    );
+    assert_eq!(
+        filter
+            .classify(&reads[3].prefix(probe_config.prefix_samples))
+            .verdict,
+        FilterVerdict::Reject,
+        "early reject must match one-shot"
+    );
+    // And the decision point is chunk-invariant.
+    for chunk_size in [1usize, 7, 512] {
+        let mut session = filter.start_read();
+        for chunk in reads[3].samples().chunks(chunk_size) {
+            if session.push_chunk(chunk).is_final() {
+                break;
             }
-            let got = session.finalize();
-            assert_eq!(got.samples_consumed, junk.samples_consumed, "{precision:?}");
         }
+        let got = session.finalize();
+        assert_eq!(got.samples_consumed, junk.samples_consumed);
     }
 }
 
